@@ -72,8 +72,11 @@ run_bench() {
   echo "== invariants bench (quick gate: conservation drift ceilings + entropy floor)"
   cargo bench -q -p landau-bench --bench invariants -- --quick
 
-  echo "== batch scaling bench (quick gate: fused/host bitwise identity + 2x speedup at 256/1024)"
+  echo "== batch scaling bench (quick gate: fused/host bitwise identity; fused throughput vs baseline)"
   cargo bench -q -p landau-bench --bench batch_scaling -- --quick
+
+  echo "== solver bench (quick gate: envelope band LU bitwise vs scalar reference + 4x speedup)"
+  cargo bench -q -p landau-bench --bench solver -- --quick
 
   echo "== live telemetry bench (quick gate: journal overhead + bitwise identity + scrape p99)"
   cargo bench -q -p landau-bench --bench obs_live -- --quick

@@ -322,18 +322,21 @@ impl BatchedAdvance {
     ) -> Self {
         assert!(n_vertices > 0);
         let mut table: Option<Arc<TensorTable>> = None;
-        let steppers: Vec<AdaptiveStepper> = (0..n_vertices)
-            .map(|_| {
-                let mut op = LandauOperator::new_shared(space.clone(), species.clone(), backend);
-                match &table {
-                    None => table = Some(op.enable_tensor_cache(cache_budget_bytes)),
-                    Some(t) => op.set_tensor_table(t.clone()),
-                }
-                let mut ti = TimeIntegrator::new(op, ThetaMethod::BackwardEuler);
-                ti.rtol = 1e-6;
-                AdaptiveStepper::new(ti)
-            })
-            .collect();
+        let mut steppers: Vec<AdaptiveStepper> = Vec::with_capacity(n_vertices);
+        for _ in 0..n_vertices {
+            let mut op = LandauOperator::new_shared(space.clone(), species.clone(), backend);
+            match &table {
+                None => table = Some(op.enable_tensor_cache(cache_budget_bytes)),
+                Some(t) => op.set_tensor_table(t.clone()),
+            }
+            let mut ti = TimeIntegrator::new(op, ThetaMethod::BackwardEuler);
+            ti.rtol = 1e-6;
+            // One mesh, so one ordering: keep one band map for the batch.
+            if let Some(first) = steppers.first() {
+                ti.share_band_map(&first.ti);
+            }
+            steppers.push(AdaptiveStepper::new(ti));
+        }
         let states: Vec<Vec<f64>> = steppers
             .iter()
             .enumerate()

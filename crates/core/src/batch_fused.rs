@@ -10,7 +10,7 @@
 //!
 //! * [`FusedWorkspace`] holds the reusable per-batch storage: the
 //!   [`BatchedBandStorage`] (one band lane per live (vertex, species)
-//!   pair, compacted to the low lanes each round), the precomputed
+//!   pair, compacted to the low lanes each round), the integrators'
 //!   CSR-entry → band-slot map, per-vertex matrix workspaces on the
 //!   shared pattern, and the SoA right-hand-side.
 //! * [`fused_macro_step`] advances every vertex by one macro step of `dt`
@@ -20,8 +20,9 @@
 //! **Bitwise contract.** Per vertex, the lockstep iteration replays the
 //! exact arithmetic of [`TimeIntegrator`]'s guarded step: the batched
 //! kernels are per-lane bitwise equal to the per-vertex cached kernels
-//! (tested in `kernels`), the slot map writes `M − γL` values identical to
-//! `build_solver`'s clone/axpy/permute pipeline, and the batched LU
+//! (tested in `kernels`), the slot map — the very one the solo path
+//! refills its solver through — writes the same `M − γL` values, and the
+//! batched LU
 //! factor/solve is per-lane bitwise equal to `BlockBandSolver` (tested in
 //! `landau-sparse`). A lane that fails its lockstep attempt routes into
 //! the *identical* [`AdaptiveStepper`] recovery policy (damped retry →
@@ -32,7 +33,10 @@ use crate::invariants::StepContext;
 use crate::kernels;
 use crate::operator::Backend;
 use crate::recover::{AdaptiveStepper, RecoveryFailure, RecoveryStats};
-use crate::solver::{all_finite, NonFiniteSite, SolveError, StepStats, STALL_REDUCTION};
+use crate::solver::{
+    all_finite, NonFiniteSite, ResidualScratch, SolveError, StepStats, STALL_REDUCTION,
+};
+use landau_sparse::band::BandMap;
 use landau_sparse::csr::Csr;
 use landau_sparse::vecops;
 use landau_sparse::BatchedBandStorage;
@@ -41,6 +45,7 @@ use landau_vgpu::fault::{
     SITE_LANDAU_JACOBIAN, SITE_LU_FACTOR,
 };
 use landau_vgpu::kokkos::PlainFactory;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Launch accounting for the fused path, folded into
@@ -64,9 +69,8 @@ pub(crate) struct FusedCounters {
 
 /// Reusable storage for the fused batched pipeline. Built once per batch
 /// (all vertices share one mesh, species list, ordering and bandwidth)
-/// and reused across every Newton iteration of every macro step — the
-/// allocation-free inner loop is where the fused path's throughput win
-/// over the host loop's per-iteration CSR machinery comes from.
+/// and reused across every Newton iteration of every macro step, so the
+/// inner loop allocates nothing.
 pub(crate) struct FusedWorkspace {
     /// Dofs per species block.
     n: usize,
@@ -74,12 +78,9 @@ pub(crate) struct FusedWorkspace {
     ns: usize,
     /// Band lanes (`n_vertices · ns`), fixed for the life of the batch.
     n_lanes: usize,
-    /// Band slot per permuted CSR entry, row-major over the permuted
-    /// pattern (shared by every lane — one pattern per batch).
-    slots: Vec<usize>,
-    /// Original (unpermuted) flat value index per permuted CSR entry:
-    /// `permuted.vals[k] == original.vals[origin[k]]`.
-    origin: Vec<usize>,
+    /// Pattern entry → band slot, shared by every lane (one pattern and
+    /// one ordering per batch): vertex 0's integrator's map.
+    map: Arc<BandMap>,
     /// The solver ordering (copy of the integrators' shared permutation).
     perm: Vec<usize>,
     /// The lane-minor SoA band storage.
@@ -89,6 +90,8 @@ pub(crate) struct FusedWorkspace {
     /// Per-vertex per-species Jacobian workspaces on the shared pattern.
     /// The scatter zeroes entries first, so reuse is bitwise-safe.
     mats: Vec<Vec<Csr>>,
+    /// Work vectors of the per-lane residual evaluations.
+    residual_scratch: ResidualScratch,
 }
 
 impl FusedWorkspace {
@@ -105,26 +108,7 @@ impl FusedWorkspace {
             assert_eq!(st.ti.perm, ti0.perm, "batch vertices must share ordering");
             assert_eq!(st.ti.block_bandwidth, bw);
         }
-        let band = BatchedBandStorage::zeros(n, bw, bw, n_lanes);
-        // Marker trick: a CSR whose values are their own flat indices,
-        // pushed through the same symmetric permutation `build_solver`
-        // applies, recovers (band slot, original value index) per entry —
-        // the whole clone/axpy/permute/band-copy pipeline collapses to
-        // one precomputed indirection.
-        let mut marker = ti0.op.mass.clone();
-        for (k, v) in marker.vals.iter_mut().enumerate() {
-            *v = k as f64;
-        }
-        let pm = marker.permute_symmetric(&ti0.perm);
-        let nnz = pm.vals.len();
-        let mut slots = Vec::with_capacity(nnz);
-        let mut origin = Vec::with_capacity(nnz);
-        for i in 0..n {
-            for k in pm.row_ptr[i]..pm.row_ptr[i + 1] {
-                slots.push(band.slot_of(i, pm.col_idx[k]));
-                origin.push(pm.vals[k] as usize);
-            }
-        }
+        let band = BatchedBandStorage::from_map(&ti0.band_map, n_lanes);
         let mats = (0..steppers.len())
             .map(|_| vec![ti0.op.pattern().clone(); ns])
             .collect();
@@ -132,40 +116,33 @@ impl FusedWorkspace {
             n,
             ns,
             n_lanes,
-            slots,
-            origin,
+            map: Arc::clone(&ti0.band_map),
             perm: ti0.perm.clone(),
             band,
             x_soa: vec![0.0; n * n_lanes],
             mats,
+            residual_scratch: ResidualScratch::default(),
         }
     }
 
     /// Approximate heap footprint (diagnostics).
     pub(crate) fn approx_heap_bytes(&self) -> usize {
         self.band.approx_heap_bytes()
-            + (self.x_soa.len() + self.slots.len() + self.origin.len()) * 8
+            + (self.x_soa.len() + 2 * self.map.slots().len()) * 8
             + self.mats.len() * self.ns * self.mats[0][0].vals.len() * 8
     }
 
     /// Write vertex `v`'s `ns` Jacobian blocks `M + neg_gamma · L_α` into
-    /// the band lanes `dst .. dst+ns`, value-identical to `build_solver`'s
-    /// `mass.clone() → axpy(−γ) → permute → band` chain. The caller must
+    /// the band lanes `dst .. dst+ns`, value-identical to the solo path's
+    /// `BlockBandSolver::refill` through the same map. The caller must
     /// have zeroed those lanes (`reset_lanes`) first: factorization writes
     /// fill-in into band slots the sparse pattern leaves untouched.
     fn fill_vertex(&mut self, v: usize, dst: usize, mass: &Csr, neg_gamma: f64) {
         let FusedWorkspace {
-            band,
-            mats,
-            slots,
-            origin,
-            ..
+            band, mats, map, ..
         } = self;
         for (a, la) in mats[v].iter().enumerate() {
-            let m = dst + a;
-            for (&slot, &o) in slots.iter().zip(origin.iter()) {
-                band.write_slot(slot, m, mass.vals[o] + neg_gamma * la.vals[o]);
-            }
+            band.fill_lane(dst + a, map, |o| mass.vals[o] + neg_gamma * la.vals[o]);
         }
     }
 }
@@ -414,6 +391,7 @@ pub(crate) fn fused_macro_step(
                 dt,
                 lane.theta,
                 &mut lane.r,
+                &mut ws.residual_scratch,
             );
             let rnorm = vecops::norm2(&lane.r);
             drop(sp_res);
@@ -488,7 +466,7 @@ pub(crate) fn fused_macro_step(
             let neg_gamma = -(dt * lanes[k].theta);
             ws.fill_vertex(v, dst, &steppers[v].ti.op.mass, neg_gamma);
             // Same per-device fault cadence as the host path's
-            // `poll_fault(SITE_LU_FACTOR, n_blocks)` after build_solver.
+            // `poll_fault(SITE_LU_FACTOR, n_blocks)` after the refill.
             if let Some(f) = steppers[v].ti.op.device.poll_fault(SITE_LU_FACTOR, ws.ns) {
                 if matches!(f.kind, FaultKind::SingularBlock) {
                     ws.band.poison(dst + f.index % ws.ns);

@@ -12,9 +12,9 @@ use crate::invariants::{ConservationMonitor, StepContext, Watchdog};
 use crate::moments::Moments;
 use crate::operator::LandauOperator;
 use crate::tensor_cache::TensorTable;
-use landau_sparse::band::BlockBandSolver;
+use landau_sparse::band::{BandMap, BlockBandSolver};
 use landau_sparse::csr::Csr;
-use landau_sparse::rcm::{bandwidth, rcm_order};
+use landau_sparse::rcm::rcm_order;
 use landau_sparse::vecops;
 use landau_vgpu::fault::{FaultKind, SITE_LU_FACTOR};
 use std::fmt;
@@ -249,6 +249,37 @@ pub struct TimeIntegrator {
     pub(crate) perm: Vec<usize>,
     /// Half-bandwidth of the reordered single-species block.
     pub block_bandwidth: usize,
+    /// Mass-pattern entry → band slot of the reordered block, built once:
+    /// every Jacobian `M − γ L_α` shares the pattern and the ordering. The
+    /// fused batch path scatters its lanes through the same map.
+    pub(crate) band_map: Arc<BandMap>,
+    /// The block solver, refilled in place every Newton iteration. Made on
+    /// the first solo step: the lanes of a fused batch never take one.
+    solver: Option<BlockBandSolver>,
+    scratch: NewtonScratch,
+}
+
+/// Work vectors of [`TimeIntegrator::residual`], owned by its caller (the
+/// integrator, or the fused workspace) so that an evaluation allocates
+/// nothing.
+#[derive(Default)]
+pub(crate) struct ResidualScratch {
+    /// `L(f) f`, species-major.
+    lf: Vec<f64>,
+    /// `f − f^n` of one species.
+    df: Vec<f64>,
+    /// A mass-matrix product of one species.
+    mv: Vec<f64>,
+}
+
+/// Per-iteration work vectors of the solo Newton loop.
+#[derive(Default)]
+struct NewtonScratch {
+    residual: ResidualScratch,
+    /// Right-hand side, then solution, in solver ordering.
+    delta: Vec<f64>,
+    /// The Newton update `J⁻¹ R` in dof ordering.
+    d: Vec<f64>,
 }
 
 /// Sweep ordering by node position (z-major, then r): near-minimal band on
@@ -266,6 +297,26 @@ fn geometric_order(op: &LandauOperator) -> Vec<usize> {
     perm
 }
 
+/// Permute a species-major vector into solver ordering.
+fn permute_into(perm: &[usize], x: &[f64], out: &mut [f64]) {
+    let n = perm.len();
+    for (xs, os) in x.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+        for (o, &p) in os.iter_mut().zip(perm) {
+            *o = xs[p];
+        }
+    }
+}
+
+/// Inverse of [`permute_into`].
+fn unpermute_into(perm: &[usize], x: &[f64], out: &mut [f64]) {
+    let n = perm.len();
+    for (xs, os) in x.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+        for (&v, &p) in xs.iter().zip(perm) {
+            os[p] = v;
+        }
+    }
+}
+
 impl TimeIntegrator {
     /// Build an integrator; computes the RCM ordering once (its cost is
     /// amortized over the whole transient, like the paper's CPU
@@ -277,12 +328,12 @@ impl TimeIntegrator {
         // whichever gives the smaller band (factorization is O(n B²)).
         let rcm = rcm_order(&op.mass);
         let geo = geometric_order(&op);
-        let bw_rcm = bandwidth(&op.mass.permute_symmetric(&rcm));
-        let bw_geo = bandwidth(&op.mass.permute_symmetric(&geo));
-        let (perm, block_bandwidth) = if bw_geo < bw_rcm {
-            (geo, bw_geo)
+        let map_rcm = BandMap::new(&op.mass, &rcm);
+        let map_geo = BandMap::new(&op.mass, &geo);
+        let (perm, band_map) = if map_geo.bandwidth() < map_rcm.bandwidth() {
+            (geo, map_geo)
         } else {
-            (rcm, bw_rcm)
+            (rcm, map_rcm)
         };
         TimeIntegrator {
             op,
@@ -295,7 +346,10 @@ impl TimeIntegrator {
             moments,
             monitor: None,
             perm,
-            block_bandwidth,
+            block_bandwidth: band_map.bandwidth(),
+            band_map: Arc::new(band_map),
+            solver: None,
+            scratch: NewtonScratch::default(),
         }
     }
 
@@ -322,69 +376,25 @@ impl TimeIntegrator {
         self.monitor.insert(mon)
     }
 
-    /// Build the block solver for `J = M − γ L` across species (permuted).
-    fn build_solver(&self, lmats: &[Csr], gamma: f64) -> BlockBandSolver {
-        let n = self.op.n();
-        let ns = lmats.len();
-        // Assemble the permuted block-diagonal J as one CSR.
-        let mut cols: Vec<Vec<usize>> = vec![Vec::new(); ns * n];
-        let pm = {
-            // J_α = M − γ L_α, then symmetric permutation per block.
-            let mut blocks: Vec<Csr> = Vec::with_capacity(ns);
-            for la in lmats {
-                let mut j = self.op.mass.clone();
-                j.axpy_same_pattern(-gamma, la);
-                blocks.push(j.permute_symmetric(&self.perm));
-            }
-            blocks
-        };
-        for (a, b) in pm.iter().enumerate() {
-            for i in 0..n {
-                let row: Vec<usize> = b.col_idx[b.row_ptr[i]..b.row_ptr[i + 1]]
-                    .iter()
-                    .map(|&c| a * n + c)
-                    .collect();
-                cols[a * n + i] = row;
-            }
+    /// Drop this integrator's band map for `other`'s where both solve in
+    /// the same ordering (the vertices of a batch on one mesh do).
+    pub(crate) fn share_band_map(&mut self, other: &TimeIntegrator) {
+        if self.perm == other.perm {
+            self.band_map = Arc::clone(&other.band_map);
         }
-        let mut big = Csr::from_pattern(ns * n, ns * n, &cols);
-        for (a, b) in pm.iter().enumerate() {
-            for i in 0..n {
-                for k in b.row_ptr[i]..b.row_ptr[i + 1] {
-                    big.add_value(a * n + i, a * n + b.col_idx[k], b.vals[k]);
-                }
-            }
-        }
-        BlockBandSolver::from_block_csr(&big, &vec![n; ns])
     }
 
-    /// Permute a species-major vector into solver ordering.
-    pub(crate) fn permute(&self, x: &[f64]) -> Vec<f64> {
-        let n = self.op.n();
-        let ns = x.len() / n;
-        let mut out = vec![0.0; x.len()];
-        for a in 0..ns {
-            for i in 0..n {
-                out[a * n + i] = x[a * n + self.perm[i]];
-            }
-        }
-        out
-    }
-
-    pub(crate) fn unpermute_into(&self, x: &[f64], out: &mut [f64]) {
-        let n = self.op.n();
-        let ns = x.len() / n;
-        for a in 0..ns {
-            for i in 0..n {
-                out[a * n + self.perm[i]] = x[a * n + i];
-            }
-        }
+    /// The solver ordering: position `k` holds dof `perm()[k]` of each
+    /// species block.
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
     }
 
     /// Residual `R = M(f − f^n) − Δt[θ(Lf + Ms) + (1−θ)rhs_old]`, where
     /// `rhs_old` is the explicit part (precomputed). Takes the per-species
     /// matrices directly (not an `AssembledOperator`) so the fused batch
-    /// orchestrator can evaluate it over its reusable lane workspaces.
+    /// orchestrator can evaluate it over its reusable lane workspaces, and
+    /// its work vectors from the caller's scratch.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn residual(
         &self,
@@ -396,26 +406,32 @@ impl TimeIntegrator {
         dt: f64,
         theta: f64,
         out: &mut [f64],
+        scratch: &mut ResidualScratch,
     ) {
         let n = self.op.n();
         let ns = mats.len();
-        let mut lf = vec![0.0; f.len()];
+        let ResidualScratch { lf, df, mv } = scratch;
+        lf.resize(f.len(), 0.0);
+        df.resize(n, 0.0);
+        mv.resize(n, 0.0);
         for (s, m) in mats.iter().enumerate() {
             m.matvec_into(&f[s * n..(s + 1) * n], &mut lf[s * n..(s + 1) * n]);
         }
         for a in 0..ns {
             let fs = &f[a * n..(a + 1) * n];
             let fo = &fn_old[a * n..(a + 1) * n];
-            let df: Vec<f64> = fs.iter().zip(fo).map(|(x, y)| x - y).collect();
-            let mdf = self.op.mass.matvec(&df);
+            for (d, (x, y)) in df.iter_mut().zip(fs.iter().zip(fo)) {
+                *d = x - y;
+            }
+            self.op.mass.matvec_into(df, mv);
             let o = &mut out[a * n..(a + 1) * n];
             for i in 0..n {
-                o[i] = mdf[i] - dt * theta * lf[a * n + i];
+                o[i] = mv[i] - dt * theta * lf[a * n + i];
             }
             if let Some(s) = source {
-                let ms = self.op.mass.matvec(&s[a * n..(a + 1) * n]);
+                self.op.mass.matvec_into(&s[a * n..(a + 1) * n], mv);
                 for i in 0..n {
-                    o[i] -= dt * theta * ms[i];
+                    o[i] -= dt * theta * mv[i];
                 }
             }
             if let Some(r) = rhs_old {
@@ -535,6 +551,16 @@ impl TimeIntegrator {
         };
 
         let mut r = vec![0.0; n_total];
+        // Taken for the step (like the monitor below) so `&self` helpers
+        // can fill it; every exit from here on passes the restore at the end.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let NewtonScratch {
+            residual: res_scratch,
+            delta,
+            d,
+        } = &mut scratch;
+        delta.resize(n_total, 0.0);
+        d.resize(n_total, 0.0);
         let mut r0_norm = None;
         let mut prev_rnorm = f64::INFINITY;
         let mut stall = 0usize;
@@ -556,6 +582,7 @@ impl TimeIntegrator {
                 dt,
                 theta,
                 &mut r,
+                res_scratch,
             );
             let rnorm = vecops::norm2(&r);
             drop(sp_res);
@@ -593,10 +620,18 @@ impl TimeIntegrator {
             }
             prev_rnorm = rnorm;
 
-            // J = M − Δt θ L(f_k); factor per species block in parallel.
+            // J = M − Δt θ L(f_k), written over the previous iteration's
+            // factors; factor per species block in parallel.
             let sp_factor = landau_obs::span(landau_obs::names::FACTOR);
             let t1 = Instant::now();
-            let mut solver = self.build_solver(&assembled.mats, dt * theta);
+            let (mass, map) = (&self.op.mass, &*self.band_map);
+            let solver = self
+                .solver
+                .get_or_insert_with(|| BlockBandSolver::from_map(map, assembled.mats.len()));
+            let neg_gamma = -(dt * theta);
+            solver.refill(map, |a, o| {
+                mass.vals[o] + neg_gamma * assembled.mats[a].vals[o]
+            });
             // Seeded fault injection (resilience tests): poison one species
             // block when an armed plan is due. Disarmed: one atomic load.
             if let Some(f) = self.op.device.poll_fault(SITE_LU_FACTOR, solver.n_blocks()) {
@@ -604,24 +639,24 @@ impl TimeIntegrator {
                     solver.poison_block(f.index);
                 }
             }
-            if let Err((block, row)) = solver.factor() {
+            let factored = solver.factor();
+            stats.t_factor += t1.elapsed().as_secs_f64();
+            drop(sp_factor);
+            if let Err((block, row)) = factored {
                 failure = Some(SolveError::SingularJacobian { block, row });
                 break;
             }
-            stats.t_factor += t1.elapsed().as_secs_f64();
-            drop(sp_factor);
 
             let sp_solve = landau_obs::span(landau_obs::names::SOLVE);
             let t2 = Instant::now();
-            let mut delta = self.permute(&r);
-            solver.solve_into(&mut delta);
+            permute_into(&self.perm, &r, delta);
+            solver.solve_into(delta);
             stats.t_solve += t2.elapsed().as_secs_f64();
             drop(sp_solve);
 
             // f ← f − λ J⁻¹ R.
-            let mut d = vec![0.0; n_total];
-            self.unpermute_into(&delta, &mut d);
-            if !all_finite(&d) {
+            unpermute_into(&self.perm, delta, d);
+            if !all_finite(d) {
                 failure = Some(SolveError::NonFinite {
                     site: NonFiniteSite::Solution,
                 });
@@ -636,7 +671,7 @@ impl TimeIntegrator {
                 let mut cand = vec![0.0; n_total];
                 let mut rt = vec![0.0; n_total];
                 for bt in 0..=backtracks {
-                    for (c, (s, dd)) in cand.iter_mut().zip(state.iter().zip(&d)) {
+                    for (c, (s, dd)) in cand.iter_mut().zip(state.iter().zip(d.iter())) {
                         *c = s - lambda * dd;
                     }
                     if all_finite(&cand) {
@@ -652,6 +687,7 @@ impl TimeIntegrator {
                             dt,
                             theta,
                             &mut rt,
+                            res_scratch,
                         );
                         let rc = vecops::norm2(&rt);
                         if rc.is_finite() && rc < rnorm {
@@ -663,9 +699,10 @@ impl TimeIntegrator {
                     }
                 }
             }
-            vecops::axpy(-lambda, &d, state);
+            vecops::axpy(-lambda, d, state);
             stats.newton_iters += 1;
         }
+        self.scratch = scratch;
         if failure.is_none() && !stats.converged {
             // Newton budget exhausted: classify by whether the residual
             // ever contracted relative to its starting norm.

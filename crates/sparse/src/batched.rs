@@ -25,8 +25,14 @@
 //! removes that lane from all subsequent pivot steps without
 //! desynchronizing the rest of the batch, mirroring how
 //! [`BandMatrix::factor`] returns at its first bad pivot.
+//!
+//! A batch has one sparsity pattern, so one symbolic [`Envelope`] bounds
+//! the sweeps of every lane: rows left of it are skipped and the column
+//! sweep stops at its right edge, under the same rule as in
+//! [`crate::band`] (outside it every lane stores `+0.0`; the first live
+//! negative or NaN pivot widens it to the whole band).
 
-use crate::band::BandMatrix;
+use crate::band::{BandMap, BandMatrix, Envelope};
 
 /// Lanes per cache tile of the lockstep sweeps. The factorization's
 /// sliding window — `(lbw+1)` band rows of `w · LANE_TILE` doubles — stays
@@ -43,6 +49,9 @@ pub struct BatchedBandStorage {
     ubw: usize,
     n_mats: usize,
     data: Vec<f64>,
+    /// One pattern per batch, so one envelope for all lanes: every value
+    /// stored outside it, in any lane, is `+0.0`.
+    env: Envelope,
     factored: bool,
 }
 
@@ -51,6 +60,17 @@ impl BatchedBandStorage {
     /// superdiagonals. The allocation rounds the lane count up to a whole
     /// number of tiles; padding lanes hold zeros and are never active.
     pub fn zeros(n: usize, lbw: usize, ubw: usize, n_mats: usize) -> Self {
+        Self::zeros_in(n, lbw, ubw, n_mats, Envelope::full(n, lbw, ubw))
+    }
+
+    /// `n_mats` zero matrices on the pattern of `map`, to be filled lane
+    /// by lane through it ([`Self::fill_lane`]).
+    pub fn from_map(map: &BandMap, n_mats: usize) -> Self {
+        let bw = map.bandwidth();
+        Self::zeros_in(map.n(), bw, bw, n_mats, map.envelope().clone())
+    }
+
+    fn zeros_in(n: usize, lbw: usize, ubw: usize, n_mats: usize, env: Envelope) -> Self {
         let n_tiles = n_mats.div_ceil(LANE_TILE);
         BatchedBandStorage {
             n,
@@ -58,6 +78,7 @@ impl BatchedBandStorage {
             ubw,
             n_mats,
             data: vec![0.0; n * (lbw + ubw + 1) * n_tiles * LANE_TILE],
+            env,
             factored: false,
         }
     }
@@ -115,12 +136,39 @@ impl BatchedBandStorage {
         i * self.w() + (d + self.lbw as isize) as usize
     }
 
-    /// Write band slot `s` of lane `m` (the batched-fill hot path: the
-    /// caller iterates a precomputed pattern→slot map and strides lanes).
+    /// Write band slot `s` of lane `m`. A write outside the envelope
+    /// widens it to the whole band, as [`BandMatrix::set`] does.
     #[inline]
     pub fn write_slot(&mut self, s: usize, m: usize, v: f64) {
+        let i = s / self.w();
+        if !self.env.contains(i, s % self.w() + i - self.lbw) {
+            self.widen_to_band();
+        }
         let k = self.idx(s, m);
         self.data[k] = v;
+    }
+
+    #[cold]
+    fn widen_to_band(&mut self) {
+        self.env = Envelope::full(self.n, self.lbw, self.ubw);
+    }
+
+    /// Scatter one matrix into lane `m` through `map` (the batched-fill
+    /// hot path): pattern entry `o` gets `value(o)`. The lane must have
+    /// been zeroed ([`Self::reset_lanes`]) since its last factorization.
+    pub fn fill_lane(&mut self, m: usize, map: &BandMap, value: impl Fn(usize) -> f64) {
+        assert_eq!(
+            (self.n, self.lbw, self.ubw),
+            (map.n(), map.bandwidth(), map.bandwidth())
+        );
+        assert!(
+            self.env.covers(map.envelope()),
+            "band map scatters outside the batch envelope"
+        );
+        let lane = self.idx(0, m);
+        for (&slot, &o) in map.slots().iter().zip(map.origin()) {
+            self.data[lane + slot * LANE_TILE] = value(o);
+        }
     }
 
     /// Read entry `(i, j)` of lane `m` (0 outside the band).
@@ -161,9 +209,13 @@ impl BatchedBandStorage {
         self.factored = false;
     }
 
-    /// Copy a [`BandMatrix`] into lane `m` (the lane is zeroed first).
+    /// Copy a [`BandMatrix`] into lane `m` (the lane is zeroed first). The
+    /// batch envelope grows to cover the matrix's.
     pub fn pack_lane(&mut self, m: usize, b: &BandMatrix) {
         assert_eq!((b.n, b.lbw, b.ubw), (self.n, self.lbw, self.ubw));
+        if !self.env.covers(b.envelope()) {
+            self.env = self.env.union(b.envelope());
+        }
         for s in 0..self.n_slots() {
             let k = self.idx(s, m);
             self.data[k] = 0.0;
@@ -188,11 +240,13 @@ impl BatchedBandStorage {
         b
     }
 
-    /// Batch-build from equally-shaped matrices (one per lane).
+    /// Batch-build from equally-shaped matrices (one per lane); the batch
+    /// envelope is the union of theirs.
     pub fn from_band_matrices(mats: &[BandMatrix]) -> Self {
         assert!(!mats.is_empty());
         let (n, lbw, ubw) = (mats[0].n, mats[0].lbw, mats[0].ubw);
-        let mut s = BatchedBandStorage::zeros(n, lbw, ubw, mats.len());
+        let env = mats[0].envelope().clone();
+        let mut s = BatchedBandStorage::zeros_in(n, lbw, ubw, mats.len(), env);
         for (m, b) in mats.iter().enumerate() {
             s.pack_lane(m, b);
         }
@@ -219,11 +273,12 @@ impl BatchedBandStorage {
     pub fn factor(&mut self, active: &[bool]) -> Vec<Option<usize>> {
         assert!(!self.factored, "matrix batch already factored");
         assert_eq!(active.len(), self.n_mats);
-        let (n, mm, w, lbw, ubw) = (self.n, self.n_mats, self.w(), self.lbw, self.ubw);
+        let (n, mm, w, lbw) = (self.n, self.n_mats, self.w(), self.lbw);
         let tile_len = self.n_slots() * LANE_TILE;
         let tiny = 1e-300;
         let mut failed: Vec<Option<usize>> = vec![None; mm];
         let mut alive: Vec<bool> = active.to_vec();
+        let mut widened = false;
         for t0 in (0..mm).step_by(LANE_TILE) {
             let t1 = (t0 + LANE_TILE).min(mm);
             let tl = t1 - t0;
@@ -236,15 +291,26 @@ impl BatchedBandStorage {
             for i in 0..n {
                 let diag = tb + (i * w + lbw) * LANE_TILE;
                 for q in 0..tl {
-                    if alive[t0 + q] && self.data[diag + q].abs() < tiny {
+                    let piv = self.data[diag + q];
+                    if alive[t0 + q] && piv.abs() < tiny {
                         failed[t0 + q] = Some(i);
                         alive[t0 + q] = false;
+                    }
+                    // A live negative or NaN pivot turns the `+0.0`s
+                    // outside the envelope into `−0.0`/NaN in its lane
+                    // (see `BandMatrix::factor`): whole band from here on.
+                    if alive[t0 + q] && !(piv > 0.0 || widened) {
+                        self.widen_to_band();
+                        widened = true;
                     }
                 }
                 let all_alive = alive[t0..t1].iter().all(|&a| a);
                 let rmax = (i + lbw).min(n - 1);
-                let cmax = (i + ubw).min(n - 1);
+                let cmax = self.env.last(i);
                 for r in (i + 1)..=rmax {
+                    if self.env.first(r) > i {
+                        continue;
+                    }
                     // Multiplier column: l = a(r,i) / piv, stored in place.
                     let lrow = tb + (r * w + (i + lbw - r)) * LANE_TILE;
                     {
@@ -311,7 +377,7 @@ impl BatchedBandStorage {
     /// are bitwise identical. Inactive lanes' entries are left untouched.
     pub fn solve_into(&self, x: &mut [f64], active: &[bool]) {
         assert!(self.factored, "solve before factor");
-        let (n, mm, w, lbw, ubw) = (self.n, self.n_mats, self.w(), self.lbw, self.ubw);
+        let (n, mm, w, lbw) = (self.n, self.n_mats, self.w(), self.lbw);
         let tile_len = self.n_slots() * LANE_TILE;
         assert_eq!(x.len(), n * mm);
         assert_eq!(active.len(), mm);
@@ -328,7 +394,7 @@ impl BatchedBandStorage {
             // is outermost so lane reads coalesce; per lane the
             // accumulation order over j is unchanged (ascending from zero).
             for i in 0..n {
-                let jlo = i.saturating_sub(lbw);
+                let jlo = self.env.first(i);
                 acc[..tl].fill(0.0);
                 for j in jlo..i {
                     let row = tb + (i * w + (j + lbw - i)) * LANE_TILE;
@@ -355,7 +421,7 @@ impl BatchedBandStorage {
             }
             // Backward substitution.
             for i in (0..n).rev() {
-                let jhi = (i + ubw).min(n - 1);
+                let jhi = self.env.last(i);
                 acc[..tl].fill(0.0);
                 for j in (i + 1)..=jhi {
                     let row = tb + (i * w + (j + lbw - i)) * LANE_TILE;

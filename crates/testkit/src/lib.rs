@@ -8,6 +8,11 @@
 //!
 //! Unlike proptest there is no shrinking: generators here are simple enough
 //! that the printed seed plus the case index identifies the failure.
+//!
+//! [`oracle`] holds the reference implementations the bitwise tests
+//! compare production code against.
+
+pub mod oracle;
 
 /// Deterministic pseudo-random generator (splitmix64).
 #[derive(Clone, Debug)]

@@ -1,0 +1,435 @@
+//! Reference implementations that production code is compared against bit
+//! for bit. They are the code the production paths replaced, kept as it
+//! was: slow, simple, and not to be optimized.
+//!
+//! * [`RefBand`] — the scalar full-band LU.
+//! * [`RebuildIntegrator`] — the implicit step whose linear solver is
+//!   rebuilt from CSR every Newton iteration.
+
+use landau_core::fault_sites::SITE_LU_FACTOR;
+use landau_core::solver::{NonFiniteSite, SolveError, StepStats, ThetaMethod};
+use landau_core::{FaultKind, LandauOperator};
+use landau_sparse::csr::Csr;
+use landau_sparse::rcm::bandwidth;
+use landau_sparse::vecops;
+
+/// The scalar full-band LU that `landau_sparse::band::BandMatrix` ran
+/// before it swept envelope-bounded row slices: bounds-checked
+/// `get`/`set`, a branch per entry, every row and column of the band.
+/// `BandMatrix::factor` must leave the same bits in the same places, and
+/// `solve_into` the same solution.
+#[derive(Clone, Debug)]
+pub struct RefBand {
+    /// Matrix dimension.
+    pub n: usize,
+    /// Subdiagonal count.
+    pub lbw: usize,
+    /// Superdiagonal count.
+    pub ubw: usize,
+    data: Vec<f64>,
+}
+
+impl RefBand {
+    /// Copy the in-band entries of any matrix given as a function.
+    pub fn from_fn(n: usize, lbw: usize, ubw: usize, entry: impl Fn(usize, usize) -> f64) -> Self {
+        let mut m = RefBand {
+            n,
+            lbw,
+            ubw,
+            data: vec![0.0; n * (lbw + ubw + 1)],
+        };
+        for i in 0..n {
+            for j in i.saturating_sub(lbw)..=(i + ubw).min(n - 1) {
+                m.set(i, j, entry(i, j));
+            }
+        }
+        m
+    }
+
+    #[inline]
+    fn w(&self) -> usize {
+        self.lbw + self.ubw + 1
+    }
+
+    /// Read entry `(i, j)` (0 outside the band).
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        let d = j as isize - i as isize;
+        if d < -(self.lbw as isize) || d > self.ubw as isize {
+            return 0.0;
+        }
+        self.data[i * self.w() + (d + self.lbw as isize) as usize]
+    }
+
+    /// Write entry `(i, j)`; panics outside the band.
+    #[inline]
+    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+        let d = j as isize - i as isize;
+        assert!(
+            d >= -(self.lbw as isize) && d <= self.ubw as isize,
+            "entry ({i},{j}) outside band (lbw={}, ubw={})",
+            self.lbw,
+            self.ubw
+        );
+        let w = self.w();
+        self.data[i * w + (d + self.lbw as isize) as usize] = v;
+    }
+
+    /// In-place LU without pivoting (outer-product form); `Err(i)` at a
+    /// pivot smaller than `1e-300`, leaving the storage as factored so far.
+    pub fn factor(&mut self) -> Result<(), usize> {
+        let n = self.n;
+        let tiny = 1e-300;
+        for i in 0..n {
+            let piv = self.get(i, i);
+            if piv.abs() < tiny {
+                return Err(i);
+            }
+            let rmax = (i + self.lbw).min(n - 1);
+            let cmax = (i + self.ubw).min(n - 1);
+            for r in (i + 1)..=rmax {
+                let l = self.get(r, i) / piv;
+                self.set(r, i, l);
+                if l != 0.0 {
+                    for c in (i + 1)..=cmax {
+                        let u = self.get(i, c);
+                        if u != 0.0 {
+                            let v = self.get(r, c) - l * u;
+                            self.set(r, c, v);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Solve `A x = b` after [`RefBand::factor`]; overwrites `x`.
+    pub fn solve_into(&self, x: &mut [f64]) {
+        assert_eq!(x.len(), self.n);
+        let n = self.n;
+        for i in 0..n {
+            let jlo = i.saturating_sub(self.lbw);
+            let s: f64 = (jlo..i).map(|j| self.get(i, j) * x[j]).sum();
+            x[i] -= s;
+        }
+        for i in (0..n).rev() {
+            let jhi = (i + self.ubw).min(n - 1);
+            let s: f64 = ((i + 1)..=jhi).map(|j| self.get(i, j) * x[j]).sum();
+            x[i] = (x[i] - s) / self.get(i, i);
+        }
+    }
+}
+
+/// `TimeIntegrator`'s guarded Newton step as it was when every iteration
+/// rebuilt its linear solver: `mass.clone → axpy(−γ) → permute_symmetric →
+/// band copy → scalar LU`, with fresh work vectors each time. The
+/// production integrator refills one persistent solver in place instead
+/// and must land on the same bits: same states, same Newton counts, same
+/// errors, under fault injection, damped retries and a `dt` that changes
+/// between steps. No spans, no monitor; times are not filled in.
+pub struct RebuildIntegrator {
+    /// The operator being advanced (its device carries the fault plan).
+    pub op: LandauOperator,
+    /// Time-step method.
+    pub method: ThetaMethod,
+    /// Relative Newton tolerance.
+    pub rtol: f64,
+    /// Absolute Newton tolerance.
+    pub atol: f64,
+    /// Newton iteration cap.
+    pub max_newton: usize,
+    /// Residual growth over `r0` that counts as divergence.
+    pub divergence_ratio: f64,
+    /// Consecutive no-progress iterations that count as a stall.
+    pub stall_window: usize,
+    perm: Vec<usize>,
+}
+
+impl RebuildIntegrator {
+    /// An integrator for `op` that solves in the ordering `perm` (take it
+    /// from `TimeIntegrator::perm`) with `TimeIntegrator::new`'s defaults.
+    pub fn new(op: LandauOperator, method: ThetaMethod, perm: Vec<usize>) -> Self {
+        assert_eq!(perm.len(), op.n());
+        RebuildIntegrator {
+            op,
+            method,
+            rtol: 1e-8,
+            atol: 1e-12,
+            max_newton: 50,
+            divergence_ratio: 1e4,
+            stall_window: 8,
+            perm,
+        }
+    }
+
+    fn theta(&self) -> f64 {
+        match self.method {
+            ThetaMethod::BackwardEuler => 1.0,
+            ThetaMethod::CrankNicolson => 0.5,
+            ThetaMethod::Theta(t) => t,
+        }
+    }
+
+    /// One factored band block per species for `J = M − γ L`, or the
+    /// first `(block, row)` whose pivot vanished.
+    fn build_solver(&self, lmats: &[Csr], gamma: f64) -> Result<Vec<RefBand>, (usize, usize)> {
+        let n = self.op.n();
+        let mut blocks: Vec<RefBand> = lmats
+            .iter()
+            .map(|la| {
+                let mut j = self.op.mass.clone();
+                j.axpy_same_pattern(-gamma, la);
+                let pj = j.permute_symmetric(&self.perm);
+                let bw = bandwidth(&pj);
+                // The values went through `add_value` into a zeroed CSR on
+                // their way to the band, which made a `−0.0` a `+0.0`.
+                RefBand::from_fn(n, bw, bw, |i, c| 0.0 + pj.get(i, c))
+            })
+            .collect();
+        if let Some(f) = self.op.device.poll_fault(SITE_LU_FACTOR, blocks.len()) {
+            if matches!(f.kind, FaultKind::SingularBlock) {
+                let m = &mut blocks[f.index % lmats.len()];
+                for c in 0..=m.ubw.min(n - 1) {
+                    m.set(0, c, 0.0);
+                }
+            }
+        }
+        // Every block is factored before the first failure is reported,
+        // as the parallel factorization did.
+        let results: Vec<Result<(), usize>> = blocks.iter_mut().map(RefBand::factor).collect();
+        match results.iter().position(Result::is_err) {
+            Some(b) => Err((b, results[b].unwrap_err())),
+            None => Ok(blocks),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn residual(
+        &self,
+        mats: &[Csr],
+        f: &[f64],
+        fn_old: &[f64],
+        source: Option<&[f64]>,
+        rhs_old: Option<&[f64]>,
+        dt: f64,
+        theta: f64,
+        out: &mut [f64],
+    ) {
+        let n = self.op.n();
+        let mut lf = vec![0.0; f.len()];
+        for (s, m) in mats.iter().enumerate() {
+            m.matvec_into(&f[s * n..(s + 1) * n], &mut lf[s * n..(s + 1) * n]);
+        }
+        for a in 0..mats.len() {
+            let fs = &f[a * n..(a + 1) * n];
+            let fo = &fn_old[a * n..(a + 1) * n];
+            let df: Vec<f64> = fs.iter().zip(fo).map(|(x, y)| x - y).collect();
+            let mdf = self.op.mass.matvec(&df);
+            let o = &mut out[a * n..(a + 1) * n];
+            for i in 0..n {
+                o[i] = mdf[i] - dt * theta * lf[a * n + i];
+            }
+            if let Some(s) = source {
+                let ms = self.op.mass.matvec(&s[a * n..(a + 1) * n]);
+                for i in 0..n {
+                    o[i] -= dt * theta * ms[i];
+                }
+            }
+            if let Some(r) = rhs_old {
+                for i in 0..n {
+                    o[i] -= dt * (1.0 - theta) * r[a * n + i];
+                }
+            }
+        }
+    }
+
+    /// `TimeIntegrator::try_step_damped`: on `Err`, `state` is `f^n` again.
+    pub fn try_step_damped(
+        &mut self,
+        state: &mut [f64],
+        dt: f64,
+        e_field: f64,
+        source: Option<&[f64]>,
+        backtracks: usize,
+    ) -> Result<StepStats, SolveError> {
+        let theta = self.theta();
+        let n = self.op.n();
+        let n_total = self.op.n_total();
+        assert_eq!(state.len(), n_total);
+        let mut stats = StepStats::default();
+        if !state.iter().all(|x| x.is_finite()) {
+            return Err(SolveError::NonFinite {
+                site: NonFiniteSite::State,
+            });
+        }
+        let fn_old = state.to_vec();
+        let rhs_old: Option<Vec<f64>> = (theta < 1.0).then(|| {
+            let mut r = self.op.collision_rhs(&fn_old, e_field);
+            if let Some(s) = source {
+                for a in 0..self.op.species.len() {
+                    let ms = self.op.mass.matvec(&s[a * n..(a + 1) * n]);
+                    for i in 0..n {
+                        r[a * n + i] += ms[i];
+                    }
+                }
+            }
+            r
+        });
+
+        let mut r = vec![0.0; n_total];
+        let mut r0_norm = None;
+        let mut prev_rnorm = f64::INFINITY;
+        let mut stall = 0usize;
+        let mut failure = None;
+        for _it in 0..self.max_newton {
+            let assembled = self.op.assemble(state, e_field);
+            self.residual(
+                &assembled.mats,
+                state,
+                &fn_old,
+                source,
+                rhs_old.as_deref(),
+                dt,
+                theta,
+                &mut r,
+            );
+            let rnorm = vecops::norm2(&r);
+            stats.residual = rnorm;
+            if !rnorm.is_finite() {
+                failure = Some(SolveError::NonFinite {
+                    site: NonFiniteSite::Residual,
+                });
+                break;
+            }
+            let r0 = *r0_norm.get_or_insert(rnorm);
+            if rnorm <= self.atol + self.rtol * r0 {
+                stats.converged = true;
+                break;
+            }
+            if rnorm > self.divergence_ratio * r0 {
+                failure = Some(SolveError::NewtonDiverged {
+                    iters: stats.newton_iters,
+                    r0,
+                    r_final: rnorm,
+                });
+                break;
+            }
+            if rnorm >= 0.999 * prev_rnorm {
+                stall += 1;
+                if stall >= self.stall_window {
+                    failure = Some(SolveError::NewtonStalled {
+                        iters: stats.newton_iters,
+                        r_final: rnorm,
+                    });
+                    break;
+                }
+            } else {
+                stall = 0;
+            }
+            prev_rnorm = rnorm;
+
+            let blocks = match self.build_solver(&assembled.mats, dt * theta) {
+                Ok(blocks) => blocks,
+                Err((block, row)) => {
+                    failure = Some(SolveError::SingularJacobian { block, row });
+                    break;
+                }
+            };
+            let mut d = vec![0.0; n_total];
+            for (a, block) in blocks.iter().enumerate() {
+                let mut delta: Vec<f64> = self.perm.iter().map(|&p| r[a * n + p]).collect();
+                block.solve_into(&mut delta);
+                for (&v, &p) in delta.iter().zip(&self.perm) {
+                    d[a * n + p] = v;
+                }
+            }
+            if !d.iter().all(|x| x.is_finite()) {
+                failure = Some(SolveError::NonFinite {
+                    site: NonFiniteSite::Solution,
+                });
+                break;
+            }
+            let mut lambda = 1.0;
+            if backtracks > 0 {
+                let mut cand = vec![0.0; n_total];
+                let mut rt = vec![0.0; n_total];
+                for bt in 0..=backtracks {
+                    for (c, (s, dd)) in cand.iter_mut().zip(state.iter().zip(&d)) {
+                        *c = s - lambda * dd;
+                    }
+                    if cand.iter().all(|x| x.is_finite()) {
+                        let trial = self.op.assemble(&cand, e_field);
+                        self.residual(
+                            &trial.mats,
+                            &cand,
+                            &fn_old,
+                            source,
+                            rhs_old.as_deref(),
+                            dt,
+                            theta,
+                            &mut rt,
+                        );
+                        let rc = vecops::norm2(&rt);
+                        if rc.is_finite() && rc < rnorm {
+                            break;
+                        }
+                    }
+                    if bt < backtracks {
+                        lambda *= 0.5;
+                    }
+                }
+            }
+            vecops::axpy(-lambda, &d, state);
+            stats.newton_iters += 1;
+        }
+        if failure.is_none() && !stats.converged {
+            let r_final = stats.residual;
+            let r0 = r0_norm.unwrap_or(r_final);
+            failure = Some(if r_final >= r0 {
+                SolveError::NewtonDiverged {
+                    iters: stats.newton_iters,
+                    r0,
+                    r_final,
+                }
+            } else {
+                SolveError::NewtonStalled {
+                    iters: stats.newton_iters,
+                    r_final,
+                }
+            });
+        }
+        match failure {
+            None => Ok(stats),
+            Some(e) => {
+                state.copy_from_slice(&fn_old);
+                Err(e)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ref_band_solves_a_tridiagonal_system() {
+        let mut m = RefBand::from_fn(4, 1, 1, |i, j| if i == j { 4.0 } else { -1.0 });
+        m.factor().unwrap();
+        let mut x = vec![3.0, 2.0, 2.0, 3.0];
+        m.solve_into(&mut x);
+        for v in x {
+            assert!((v - 1.0).abs() < 1e-14);
+        }
+    }
+
+    #[test]
+    fn ref_band_reports_the_zero_pivot_row() {
+        // Pivot 1 is 0.5 − (1/2)·1 = 0 once pivot 0 has been eliminated.
+        let diag = [2.0, 0.5, 3.0];
+        let mut m = RefBand::from_fn(3, 1, 1, |i, j| if i == j { diag[i] } else { 1.0 });
+        assert_eq!(m.factor(), Err(1));
+        assert_eq!(m.get(1, 0), 0.5, "the multiplier column of pivot 0 stays");
+    }
+}
