@@ -78,6 +78,9 @@ run_bench() {
   echo "== solver bench (quick gate: envelope band LU bitwise vs scalar reference + 4x speedup)"
   cargo bench -q -p landau-bench --bench solver -- --quick
 
+  echo "== kernels bench (quick gate: cached CPU inner integral bitwise vs seven-stream reference + 2.5x speedup)"
+  cargo bench -q -p landau-bench --bench kernels -- --quick
+
   echo "== live telemetry bench (quick gate: journal overhead + bitwise identity + scrape p99)"
   cargo bench -q -p landau-bench --bench obs_live -- --quick
 

@@ -1,34 +1,38 @@
 //! Micro-benchmarks of the Landau kernels and the §III-F assembly-path
-//! ablation. Plain timing harness (`harness = false`): run with
-//! `cargo bench -p landau-bench --bench kernels`. Mean seconds per
-//! iteration for every case land in `BENCH_kernels.json` at the
-//! workspace root.
+//! ablation, and the gate on the cached CPU inner integral: on the §V
+//! problem (ten species, N = 1280) the five-stream, stage-once kernel must
+//! return the bits of the seven-stream, stage-per-tile kernel it replaced
+//! (`cached_cpu_bitwise`, exact) and beat it by a ratio
+//! (`cached_cpu_speedup_vs_reference`, min-of-N over min-of-N in one
+//! process, floor 2.5×) — a ratio, not seconds, so the committed baseline
+//! means something on another machine.
+//!
+//! Plain timing harness (`harness = false`):
+//! `cargo bench -p landau-bench --bench kernels [-- --quick]`. The gate's
+//! numbers land in `BENCH_kernels.json` at the workspace root; `--quick`
+//! only skips the ungated timings, which are printed.
 
-use landau_bench::write_bench_json;
+use landau_bench::{min_seconds, perf_operator, write_bench_json};
 use landau_core::ipdata::IpData;
 use landau_core::kernels::{
     assemble_atomic, assemble_setvalues, inner_integral_cpu, inner_integral_cpu_cached,
     inner_integral_cuda_model, inner_integral_cuda_model_cached, inner_integral_kokkos_cached,
     inner_integral_kokkos_model, landau_element_matrices, mass_element_matrices,
 };
+use landau_core::operator::Backend;
 use landau_core::species::{Species, SpeciesList};
 use landau_core::tensor::landau_tensor_2d;
 use landau_core::TensorTable;
 use landau_fem::assemble::csr_pattern;
 use landau_fem::FemSpace;
 use landau_mesh::presets::{MeshSpec, RefineShell};
+use landau_testkit::oracle::{coeff_bits, SevenStreamTable};
 use landau_vgpu::kokkos::PlainFactory;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Time `body` for `iters` iterations, print the mean time per iteration
-/// and record it (in seconds) under `name` in `results`.
-fn bench<R>(
-    results: &mut Vec<(String, f64)>,
-    name: &str,
-    iters: usize,
-    mut body: impl FnMut() -> R,
-) {
+/// Time `body` for `iters` iterations and print the mean time per iteration.
+fn bench<R>(name: &str, iters: usize, mut body: impl FnMut() -> R) {
     // One warm-up pass keeps lazily-initialised state out of the timing.
     black_box(body());
     let start = Instant::now();
@@ -41,7 +45,42 @@ fn bench<R>(
     } else {
         println!("{name:<40} {:>10.3} µs/iter", per_iter * 1e6);
     }
-    results.push((name.replace('/', "_"), per_iter));
+}
+
+/// The gated comparison; returns the `BENCH_kernels.json` entries.
+fn cached_cpu_gate() -> Vec<(String, f64)> {
+    let op = perf_operator(80, Backend::Cpu);
+    let mut ip = IpData::new(&op.space, &op.species);
+    ip.pack(&op.space, &op.initial_state());
+    let table = TensorTable::build(&ip, usize::MAX);
+    let reference = SevenStreamTable::build(&ip, true);
+
+    let (new, _) = inner_integral_cpu_cached(&ip, &op.species, &table);
+    let old = reference.inner_integral(&ip, &op.species);
+    let bitwise = coeff_bits(&new) == coeff_bits(&old);
+
+    let t_new = min_seconds(
+        15,
+        || (),
+        |()| inner_integral_cpu_cached(&ip, &op.species, &table),
+    );
+    let t_ref = min_seconds(9, || (), |()| reference.inner_integral(&ip, &op.species));
+    let speedup = t_ref / t_new;
+    println!(
+        "cached_cpu gate: N = {}, {} species; reference {:.3} ms, stage-once five-stream \
+         {:.3} ms, {speedup:.2}x (floor 2.5x), bits {}",
+        ip.n,
+        ip.ns,
+        t_ref * 1e3,
+        t_new * 1e3,
+        if bitwise { "identical" } else { "DIFFER" }
+    );
+    vec![
+        ("cached_cpu_bitwise".into(), f64::from(u8::from(bitwise))),
+        ("cached_cpu_speedup_vs_reference".into(), speedup),
+        ("cached_cpu_ms".into(), t_new * 1e3),
+        ("cached_cpu_reference_ms".into(), t_ref * 1e3),
+    ]
 }
 
 fn setup() -> (FemSpace, SpeciesList, IpData) {
@@ -77,9 +116,23 @@ fn setup() -> (FemSpace, SpeciesList, IpData) {
 }
 
 fn main() {
-    let mut results: Vec<(String, f64)> = Vec::new();
-    let r = &mut results;
-    bench(r, "landau_tensor_2d", 100_000, || {
+    let json = cached_cpu_gate();
+    let path = write_bench_json("BENCH_kernels.json", &json);
+    println!("wrote {}", path.display());
+    let value = |name: &str| json.iter().find(|(n, _)| n == name).expect("emitted").1;
+    assert!(
+        value("cached_cpu_bitwise") == 1.0,
+        "cached CPU kernel left other bits than the seven-stream reference"
+    );
+    assert!(
+        value("cached_cpu_speedup_vs_reference") >= 2.5,
+        "cached CPU kernel under 2.5x the seven-stream reference"
+    );
+    if std::env::args().any(|a| a == "--quick") {
+        return;
+    }
+
+    bench("landau_tensor_2d", 100_000, || {
         landau_tensor_2d(
             black_box(0.53),
             black_box(-0.21),
@@ -89,51 +142,48 @@ fn main() {
     });
 
     let (space, sl, ip) = setup();
-    bench(r, "inner_integral/cpu", 10, || inner_integral_cpu(&ip, &sl));
-    bench(r, "inner_integral/cuda_model", 10, || {
+    bench("inner_integral/cpu", 10, || inner_integral_cpu(&ip, &sl));
+    bench("inner_integral/cuda_model", 10, || {
         inner_integral_cuda_model(&ip, &sl, 16)
     });
-    bench(r, "inner_integral/kokkos_model", 10, || {
+    bench("inner_integral/kokkos_model", 10, || {
         inner_integral_kokkos_model(&ip, &sl, 16)
     });
 
     let table = TensorTable::build(&ip, usize::MAX);
-    bench(r, "inner_integral/cpu_cached", 10, || {
+    bench("inner_integral/cpu_cached", 10, || {
         inner_integral_cpu_cached(&ip, &sl, &table)
     });
-    bench(r, "inner_integral/cuda_model_cached", 10, || {
+    bench("inner_integral/cuda_model_cached", 10, || {
         inner_integral_cuda_model_cached(&ip, &sl, 16, &table)
     });
-    bench(r, "inner_integral/kokkos_model_cached", 10, || {
+    bench("inner_integral/kokkos_model_cached", 10, || {
         inner_integral_kokkos_cached(&ip, &sl, 16, &table, &PlainFactory)
     });
     let recompute = TensorTable::build(&ip, 0);
-    bench(r, "inner_integral/cpu_recompute", 10, || {
+    bench("inner_integral/cpu_recompute", 10, || {
         inner_integral_cpu_cached(&ip, &sl, &recompute)
     });
 
     let (coeffs, _) = inner_integral_cpu(&ip, &sl);
     let (ce, _) = landau_element_matrices(&space, &sl, &ip, &coeffs);
     let pat = csr_pattern(&space);
-    bench(r, "assembly/transform_element_matrices", 20, || {
+    bench("assembly/transform_element_matrices", 20, || {
         landau_element_matrices(&space, &sl, &ip, &coeffs)
     });
     {
         let mut mats = vec![pat.clone(), pat.clone()];
-        bench(r, "assembly/setvalues", 20, || {
+        bench("assembly/setvalues", 20, || {
             assemble_setvalues(&space, 2, &ce, &mut mats)
         });
     }
     {
         let mut mats = vec![pat.clone(), pat.clone()];
-        bench(r, "assembly/atomic", 20, || {
+        bench("assembly/atomic", 20, || {
             assemble_atomic(&space, 2, &ce, &mut mats)
         });
     }
-    bench(r, "assembly/mass_kernel", 20, || {
+    bench("assembly/mass_kernel", 20, || {
         mass_element_matrices(&space, 2, &ip, 1.0)
     });
-
-    let path = write_bench_json("BENCH_kernels.json", &results);
-    println!("wrote {}", path.display());
 }

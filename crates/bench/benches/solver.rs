@@ -12,7 +12,7 @@
 //! in `BENCH_solver.json` at the workspace root; `--quick` only skips the
 //! ungated ablation timings.
 
-use landau_bench::write_bench_json;
+use landau_bench::{min_seconds, write_bench_json};
 use landau_math::dense::{DenseLu, DenseMatrix};
 use landau_sparse::band::BandMatrix;
 use landau_sparse::csr::Csr;
@@ -92,18 +92,6 @@ fn wide_stencil_system(kx: usize, ky: usize) -> Csr {
         }
     }
     a
-}
-
-/// Minimum over `reps` of the seconds `body` takes on a fresh `setup()`.
-fn min_seconds<S, R>(reps: usize, setup: impl Fn() -> S, mut body: impl FnMut(S) -> R) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let input = setup();
-            let start = Instant::now();
-            black_box(body(black_box(input)));
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// The gated comparison; returns the `BENCH_solver.json` entries.

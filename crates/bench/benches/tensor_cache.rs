@@ -8,7 +8,7 @@
 //!   2. *Throughput* — Newton iterations per second of a real implicit
 //!      solve, with and without the geometry cache. The cache must win
 //!      by at least 2× (the table replaces the 140-flop elliptic-integral
-//!      tensor evaluation with a 56-byte stream per pair).
+//!      tensor evaluation with a 40-byte stream per pair).
 //!   3. *Memory* — table footprint plus the heap a 256-vertex batched
 //!      advance saves by sharing one `FemSpace` instead of cloning it.
 //!

@@ -105,6 +105,20 @@ pub fn workspace_root() -> std::path::PathBuf {
         .to_path_buf()
 }
 
+/// Minimum over `reps` of the seconds `body` takes on a fresh `setup()` —
+/// the timing behind the gated speed-up ratios (min-of-N over min-of-N).
+pub fn min_seconds<S, R>(reps: usize, setup: impl Fn() -> S, mut body: impl FnMut(S) -> R) -> f64 {
+    use std::hint::black_box;
+    (0..reps)
+        .map(|_| {
+            let input = setup();
+            let start = std::time::Instant::now();
+            black_box(body(black_box(input)));
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Write a flat `{"metric": value}` JSON map to `file_name` at the
 /// workspace root (bench mains run with the package directory as cwd).
 /// Returns the path written so mains can echo it for CI logs.

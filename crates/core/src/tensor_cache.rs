@@ -10,34 +10,44 @@
 //! a streaming multiply-accumulate.
 //!
 //! **Layout.** The table is tiled by field *element* (j-blocked): for test
-//! point `i` and field element `je`, one tile holds the seven tensor streams
-//! `k00, k01, k10, k11, d0, d1, d2` in SoA order, `nq` consecutive entries
-//! each, with the combined quadrature weight `w[j]` pre-folded in. The
-//! self-interaction entry (`j == i`) is stored as zero, which removes the
-//! `j != i` branch from the streaming loop entirely. Tile address:
-//! `data[(i·N_e + je)·7·nq + c·nq + jj]`.
+//! point `i` and field element `je`, one tile holds the five tensor streams
+//! `k00, k10, d0, d1, d2` in SoA order, `nq` consecutive entries each, with
+//! the combined quadrature weight `w[j]` pre-folded in. `U^K`'s second
+//! column is not stored: [`landau_tensor_2d`] sets `k01 = d1` and `k11 = d2`
+//! by assignment, so readers take those two from the `d` streams, bit for
+//! bit. The self-interaction entry (`j == i`) is stored as zero, which
+//! removes the `j != i` branch from the streaming loop entirely. Tile
+//! address: `data[(i·N_e + je)·5·nq + c·nq + jj]`.
 //!
-//! **Memory model.** A full table is `7 · N² · 8 = 56 N²` bytes — ~92 MiB at
-//! the 80-cell Table-II mesh (`N = 1280`) but quadratic in `N`, so
+//! **Memory model.** A full table is `5 · N² · 8 = 40 N²` bytes — 62.5 MiB
+//! at the 80-cell Table-II mesh (`N = 1280`) but quadratic in `N`, so
 //! [`TensorTable::build`] takes a byte budget: below it the table is fully
 //! resident ([`CacheMode::Cached`]); above it only the geometry arrays are
 //! kept and tiles are recomputed into caller scratch on the fly
 //! ([`CacheMode::Recompute`]), preserving the API and the exact streaming
 //! arithmetic (so results are bitwise identical across modes).
 //!
-//! **Accounting.** Tile construction is charged to
+//! **Streaming.** A kernel *stages* the species sums `Σ_β f_β·(∇f_β, f_β)`
+//! ([`CachedStream::stage`]) and *folds* tiles against them
+//! ([`CachedStream::fold`]). The sums depend on the field point only, so
+//! the CPU kernels stage all `N` points once per assembly; the CUDA-/
+//! Kokkos-model kernels stage per tile, as Algorithm 1 is written.
+//!
+//! **Accounting.** [`TensorTable::stream_tally`] is the closed form of one
+//! cached inner integral: tile construction goes to
 //! [`Tally::cache_build_flops`], streamed tiles to [`Tally::cache_read`]
 //! (mirrored into `dram_read` so arithmetic-intensity stays honest), and the
 //! avoided tensor evaluations to [`Tally::cache_flops_saved`].
 
 use crate::ipdata::IpData;
-use crate::tensor::{landau_tensor_2d, TENSOR2D_FLOPS};
+use crate::tensor::{landau_tensor_2d, Tensor2D, TENSOR2D_FLOPS};
 use landau_par::prelude::*;
 use landau_vgpu::Tally;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Tensor streams per tile: `k00, k01, k10, k11, d0, d1, d2`.
-pub const STREAMS: usize = 7;
+/// Tensor streams per tile: `k00, k10, d0, d1, d2` (`k01 ≡ d1`, `k11 ≡ d2`).
+pub const STREAMS: usize = 5;
 
 /// Default table budget: 256 MiB covers the Table-II meshes through 80
 /// cells with room to spare; Table-II's 263-cell mesh (N = 4208) exceeds it
@@ -45,24 +55,20 @@ pub const STREAMS: usize = 7;
 pub const DEFAULT_BUDGET_BYTES: usize = 256 << 20;
 
 /// FLOPs per `(i, j)` pair when *building* a tile: the tensor evaluation
-/// plus folding `w[j]` into the seven streams.
-pub const TILE_BUILD_FLOPS_PER_PAIR: u64 = TENSOR2D_FLOPS + 7;
+/// plus folding `w[j]` into the five streams.
+pub const TILE_BUILD_FLOPS_PER_PAIR: u64 = TENSOR2D_FLOPS + STREAMS as u64;
 
 /// FLOPs per `(i, j)` pair avoided by streaming a cached tile instead of
 /// running the uncached [`pair_body`] tensor evaluation + weight folding.
 ///
 /// Uncached: `TENSOR2D_FLOPS + 6s + 19` ([`crate::kernels::pair_flops`]);
-/// cached MAC: `6s + 14` ([`pair_flops_cached`]); difference:
+/// cached with the species sums per pair: `6s + 14`; difference:
 ///
 /// [`pair_body`]: crate::kernels
 pub const PAIR_FLOPS_SAVED: u64 = TENSOR2D_FLOPS + 5;
 
-/// FLOPs per `(i, j)` pair on the cached streaming path: the species sums
-/// (`6s`) plus the 14-op multiply-accumulate against the seven streams.
-#[inline]
-pub fn pair_flops_cached(s: usize) -> u64 {
-    6 * s as u64 + 14
-}
+/// FLOPs of the multiply-accumulate of one `(i, j)` pair against the tile.
+pub const PAIR_FOLD_FLOPS: u64 = 14;
 
 /// Whether the table is resident or recomputed per tile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,7 +87,7 @@ pub struct TensorTable {
     nq: usize,
     ne: usize,
     mode: CacheMode,
-    /// `Cached` mode: `(i·N_e + je)·7·nq + c·nq + jj`; empty in `Recompute`.
+    /// `Cached` mode: `(i·N_e + je)·5·nq + c·nq + jj`; empty in `Recompute`.
     data: Vec<f64>,
     r: Vec<f64>,
     z: Vec<f64>,
@@ -146,7 +152,7 @@ impl TensorTable {
         }
         // The build reads the three geometry streams per row and evaluates
         // every off-diagonal pair once (recompute mode defers the same work
-        // to `tile`, charged there instead).
+        // to `tile`, charged by `stream_tally` instead).
         if table.mode == CacheMode::Cached {
             let pairs = (n as u64) * (n as u64 - 1);
             t.flops += pairs * TILE_BUILD_FLOPS_PER_PAIR;
@@ -163,72 +169,80 @@ impl TensorTable {
         let nq = self.nq;
         let (ri, zi) = (self.r[i], self.z[i]);
         let (k00, rest) = out.split_at_mut(nq);
-        let (k01, rest) = rest.split_at_mut(nq);
         let (k10, rest) = rest.split_at_mut(nq);
-        let (k11, rest) = rest.split_at_mut(nq);
         let (d0, rest) = rest.split_at_mut(nq);
         let (d1, d2) = rest.split_at_mut(nq);
         for jj in 0..nq {
             let j = je * nq + jj;
-            if j == i {
-                // The integrable self-interaction singularity: a stored zero
-                // replaces the `j != i` branch of the uncached path.
-                k00[jj] = 0.0;
-                k01[jj] = 0.0;
-                k10[jj] = 0.0;
-                k11[jj] = 0.0;
-                d0[jj] = 0.0;
-                d1[jj] = 0.0;
-                d2[jj] = 0.0;
-                continue;
-            }
-            let t = landau_tensor_2d(ri, zi, self.r[j], self.z[j]);
-            let w = self.w[j];
+            // The integrable self-interaction singularity: a stored zero
+            // replaces the `j != i` branch of the uncached path.
+            let (t, w) = if j == i {
+                (Tensor2D::default(), 0.0)
+            } else {
+                (landau_tensor_2d(ri, zi, self.r[j], self.z[j]), self.w[j])
+            };
             k00[jj] = w * t.k[0][0];
-            k01[jj] = w * t.k[0][1];
             k10[jj] = w * t.k[1][0];
-            k11[jj] = w * t.k[1][1];
             d0[jj] = w * t.d[0];
             d1[jj] = w * t.d[1];
             d2[jj] = w * t.d[2];
         }
     }
 
-    /// Off-diagonal pair count of tile `(i, je)` (the diagonal entry is a
-    /// stored zero, not an evaluation).
-    #[inline]
-    fn tile_pairs(&self, i: usize, je: usize) -> u64 {
-        if i / self.nq == je {
-            self.nq as u64 - 1
-        } else {
-            self.nq as u64
-        }
-    }
-
     /// The tile for `(i, je)`: a slice of `STREAMS * nq` weighted tensor
-    /// entries. In `Cached` mode this streams the resident table (charged to
-    /// `cache_read`/`dram_read`); in `Recompute` mode it fills `buf`
-    /// (charged to `cache_build_flops`).
+    /// entries. In `Cached` mode this streams the resident table; in
+    /// `Recompute` mode it fills `buf` (see [`Self::tile_buf`]).
     #[inline]
-    pub fn tile<'a>(&'a self, i: usize, je: usize, buf: &'a mut [f64], t: &mut Tally) -> &'a [f64] {
+    pub fn tile<'a>(&'a self, i: usize, je: usize, buf: &'a mut [f64]) -> &'a [f64] {
         let len = STREAMS * self.nq;
         match self.mode {
             CacheMode::Cached => {
-                let bytes = (len * 8) as u64;
-                t.dram_read += bytes;
-                t.cache_read += bytes;
-                t.cache_flops_saved += self.tile_pairs(i, je) * PAIR_FLOPS_SAVED;
                 let off = (i * self.ne + je) * len;
                 &self.data[off..off + len]
             }
             CacheMode::Recompute => {
                 self.fill_tile(i, je, &mut buf[..len]);
-                let build = self.tile_pairs(i, je) * TILE_BUILD_FLOPS_PER_PAIR;
-                t.flops += build;
-                t.cache_build_flops += build;
                 &buf[..len]
             }
         }
+    }
+
+    /// Scratch for [`Self::tile`]: one tile in `Recompute` mode, nothing
+    /// when the table is resident.
+    pub fn tile_buf(&self) -> Vec<f64> {
+        match self.mode {
+            CacheMode::Cached => Vec::new(),
+            CacheMode::Recompute => vec![0.0; STREAMS * self.nq],
+        }
+    }
+
+    /// Closed-form tally of one cached inner integral over this table with
+    /// `ns` species: `14` FLOPs per pair for the fold, `6·ns` per staged
+    /// field point — staged once per assembly when `hoisted` (what the CPU
+    /// kernels execute), once per pair otherwise (the device models, which
+    /// run Algorithm 1's `β` loop inside the pair loop) — and five streams
+    /// of table bytes, or the tile rebuilds in `Recompute` mode.
+    pub fn stream_tally(&self, ns: usize, hoisted: bool) -> Tally {
+        let n = self.n as u64;
+        let staged = if hoisted { n } else { n * n };
+        // The diagonal entry is a stored zero, not an evaluation.
+        let pairs = n * (n - 1);
+        let mut t = Tally {
+            flops: PAIR_FOLD_FLOPS * n * n + 6 * ns as u64 * staged,
+            ..Default::default()
+        };
+        match self.mode {
+            CacheMode::Cached => {
+                t.dram_read = self.table_bytes() as u64;
+                t.cache_read = t.dram_read;
+                t.cache_flops_saved = pairs * PAIR_FLOPS_SAVED;
+            }
+            CacheMode::Recompute => {
+                t.cache_build_flops = pairs * TILE_BUILD_FLOPS_PER_PAIR;
+                t.flops += t.cache_build_flops;
+            }
+        }
+        t
     }
 
     /// Resident or recompute?
@@ -268,28 +282,11 @@ impl TensorTable {
     }
 }
 
-/// Per-thread scratch for the tiled streaming kernels: the species-summed
-/// field stage and (recompute mode) one tile's streams.
-pub struct TileScratch {
-    /// `3 · nq`: `tkr | tkz | td` for the current tile.
-    pub sums: Vec<f64>,
-    /// `STREAMS · nq`: tile recompute buffer.
-    pub tiles: Vec<f64>,
-}
-
-impl TileScratch {
-    /// Scratch for tiles of `nq` points.
-    pub fn new(nq: usize) -> Self {
-        TileScratch {
-            sums: vec![0.0; 3 * nq],
-            tiles: vec![0.0; STREAMS * nq],
-        }
-    }
-}
-
-/// The tiled inner-integral streaming kernel, shared by all three cached
+/// The tiled inner-integral streaming kernel, shared by all cached
 /// back-ends: borrow the table and packed field data once, then
-/// [`CachedStream::accumulate`] per `(i, je)` tile.
+/// [`CachedStream::stage`] the species sums and [`CachedStream::fold`]
+/// `(i, je)` tiles against them ([`CachedStream::accumulate`] does both per
+/// tile).
 pub struct CachedStream<'a> {
     /// The geometry cache.
     pub table: &'a TensorTable,
@@ -308,48 +305,59 @@ pub struct CachedStream<'a> {
 pub const UNROLL: usize = 4;
 
 impl CachedStream<'_> {
-    /// Accumulate tile `(i, je)` into `acc = [gk_r, gk_z, gd_rr, gd_rz,
-    /// gd_zz]`.
-    ///
-    /// The species `β` loop is hoisted out of the pair loop (the paper's
-    /// eq. 11 optimization, one level further): field data is staged as
-    /// species-summed `tkr/tkz/td` per field point — in the same species
-    /// order as the uncached `pair_body`, so the staged sums are bitwise
-    /// equal to the uncached ones — and the seven tensor streams are then
-    /// folded in with unrolled accumulators.
-    #[inline]
-    pub fn accumulate(
-        &self,
-        i: usize,
-        je: usize,
-        scratch: &mut TileScratch,
-        acc: &mut [f64; 5],
-        t: &mut Tally,
-    ) {
-        let nq = self.table.nq;
+    /// Stage the species sums `Σ_β f_β·(∂_r f_β, ∂_z f_β, f_β)` of the field
+    /// points in `points` into `sums`, a lane-length `tkr | tkz | td` buffer
+    /// (`3 · n`). The sums start at `+0.0` and add species in ascending
+    /// order — the order of the uncached `pair_body`, so a staged value has
+    /// the uncached one's bits wherever and however often it is staged.
+    pub fn stage(&self, points: Range<usize>, sums: &mut [f64]) {
         let n = self.ip.n;
-        let j0 = je * nq;
-        let (tkr, rest) = scratch.sums.split_at_mut(nq);
-        let (tkz, td) = rest.split_at_mut(nq);
-        tkr[..nq].fill(0.0);
-        tkz[..nq].fill(0.0);
-        td[..nq].fill(0.0);
+        let (tkr, rest) = sums.split_at_mut(n);
+        let (tkz, td) = rest.split_at_mut(n);
+        let (tkr, tkz, td) = (
+            &mut tkr[points.clone()],
+            &mut tkz[points.clone()],
+            &mut td[points.clone()],
+        );
+        tkr.fill(0.0);
+        tkz.fill(0.0);
+        td.fill(0.0);
         for (b, (&fkb, &fdb)) in self.fk.iter().zip(self.fd).enumerate() {
-            let off = b * n + j0;
-            let dfr = &self.ip.dfr[off..off + nq];
-            let dfz = &self.ip.dfz[off..off + nq];
-            let f = &self.ip.f[off..off + nq];
-            for jj in 0..nq {
+            let at = b * n + points.start..b * n + points.end;
+            let dfr = &self.ip.dfr[at.clone()];
+            let dfz = &self.ip.dfz[at.clone()];
+            let f = &self.ip.f[at];
+            for jj in 0..points.len() {
                 tkr[jj] += fkb * dfr[jj];
                 tkz[jj] += fkb * dfz[jj];
                 td[jj] += fdb * f[jj];
             }
         }
-        let streams = self.table.tile(i, je, &mut scratch.tiles, t);
+    }
+
+    /// Fold tile `(i, je)` into `acc = [gk_r, gk_z, gd_rr, gd_rz, gd_zz]`
+    /// against the staged `sums`: the five tensor streams are multiplied in
+    /// with unrolled accumulators, `d1`/`d2` standing in for the
+    /// `k01`/`k11` they are copies of. `tile_buf` is
+    /// [`TensorTable::tile_buf`] scratch.
+    #[inline]
+    pub fn fold(
+        &self,
+        i: usize,
+        je: usize,
+        sums: &[f64],
+        tile_buf: &mut [f64],
+        acc: &mut [f64; 5],
+    ) {
+        let nq = self.table.nq;
+        let n = self.ip.n;
+        let at = je * nq..(je + 1) * nq;
+        let tkr = &sums[at.clone()];
+        let tkz = &sums[n..][at.clone()];
+        let td = &sums[2 * n..][at];
+        let streams = self.table.tile(i, je, tile_buf);
         let (k00, rest) = streams.split_at(nq);
-        let (k01, rest) = rest.split_at(nq);
         let (k10, rest) = rest.split_at(nq);
-        let (k11, rest) = rest.split_at(nq);
         let (d0, rest) = rest.split_at(nq);
         let (d1, d2) = rest.split_at(nq);
         let mut p = [[0.0f64; UNROLL]; 5];
@@ -358,8 +366,8 @@ impl CachedStream<'_> {
             #[allow(clippy::needless_range_loop)] // lockstep index into 5 lanes
             for l in 0..UNROLL {
                 let j = jj + l;
-                p[0][l] += k00[j] * tkr[j] + k01[j] * tkz[j];
-                p[1][l] += k10[j] * tkr[j] + k11[j] * tkz[j];
+                p[0][l] += k00[j] * tkr[j] + d1[j] * tkz[j];
+                p[1][l] += k10[j] * tkr[j] + d2[j] * tkz[j];
                 p[2][l] += d0[j] * td[j];
                 p[3][l] += d1[j] * td[j];
                 p[4][l] += d2[j] * td[j];
@@ -368,8 +376,8 @@ impl CachedStream<'_> {
         }
         while jj < nq {
             let l = jj % UNROLL;
-            p[0][l] += k00[jj] * tkr[jj] + k01[jj] * tkz[jj];
-            p[1][l] += k10[jj] * tkr[jj] + k11[jj] * tkz[jj];
+            p[0][l] += k00[jj] * tkr[jj] + d1[jj] * tkz[jj];
+            p[1][l] += k10[jj] * tkr[jj] + d2[jj] * tkz[jj];
             p[2][l] += d0[jj] * td[jj];
             p[3][l] += d1[jj] * td[jj];
             p[4][l] += d2[jj] * td[jj];
@@ -378,7 +386,22 @@ impl CachedStream<'_> {
         for (c, a) in acc.iter_mut().enumerate() {
             *a += (p[c][0] + p[c][1]) + (p[c][2] + p[c][3]);
         }
-        t.flops += (nq as u64) * pair_flops_cached(self.ip.ns);
+    }
+
+    /// Algorithm 1 as the paper wrote it, for the device-model kernels:
+    /// stage tile `je`'s species sums inside the pair loop, then fold.
+    #[inline]
+    pub fn accumulate(
+        &self,
+        i: usize,
+        je: usize,
+        sums: &mut [f64],
+        tile_buf: &mut [f64],
+        acc: &mut [f64; 5],
+    ) {
+        let nq = self.table.nq;
+        self.stage(je * nq..(je + 1) * nq, sums);
+        self.fold(i, je, sums, tile_buf, acc);
     }
 }
 
@@ -397,7 +420,7 @@ mod tests {
 
     #[test]
     fn required_bytes_formula() {
-        assert_eq!(TensorTable::required_bytes(1280), 56 * 1280 * 1280);
+        assert_eq!(TensorTable::required_bytes(1280), 40 * 1280 * 1280);
     }
 
     #[test]
@@ -407,10 +430,12 @@ mod tests {
         assert_eq!(full.mode(), CacheMode::Cached);
         assert_eq!(full.table_bytes(), TensorTable::required_bytes(ip.n));
         assert!(full.build_tally().cache_build_flops > 0);
+        assert!(full.tile_buf().is_empty());
         let re = TensorTable::build(&ip, 0);
         assert_eq!(re.mode(), CacheMode::Recompute);
         assert_eq!(re.table_bytes(), 0);
         assert_eq!(re.build_tally(), Tally::new());
+        assert_eq!(re.tile_buf().len(), STREAMS * ip.nq);
     }
 
     #[test]
@@ -418,24 +443,34 @@ mod tests {
         let ip = setup();
         let full = TensorTable::build(&ip, usize::MAX);
         let re = TensorTable::build(&ip, 0);
-        let nq = ip.nq;
-        let ne = ip.n / nq;
-        let mut buf_a = vec![0.0; STREAMS * nq];
-        let mut buf_b = vec![0.0; STREAMS * nq];
-        let mut ta = Tally::new();
-        let mut tb = Tally::new();
+        let ne = ip.n / ip.nq;
+        let mut buf = re.tile_buf();
         for &i in &[0usize, 7, ip.n - 1] {
             for je in 0..ne {
-                let a = full.tile(i, je, &mut buf_a, &mut ta).to_vec();
-                let b = re.tile(i, je, &mut buf_b, &mut tb).to_vec();
-                for (x, y) in a.iter().zip(&b) {
+                let a = full.tile(i, je, &mut []).to_vec();
+                let b = re.tile(i, je, &mut buf);
+                for (x, y) in a.iter().zip(b) {
                     assert_eq!(x.to_bits(), y.to_bits(), "tile ({i},{je})");
                 }
             }
         }
-        assert!(ta.cache_read > 0 && ta.cache_build_flops == 0);
-        assert!(tb.cache_build_flops > 0 && tb.cache_read == 0);
-        assert!(ta.cache_flops_saved > 0);
+    }
+
+    #[test]
+    fn stream_tally_charges_what_each_mode_executes() {
+        let ip = setup();
+        let n = ip.n as u64;
+        let full = TensorTable::build(&ip, usize::MAX).stream_tally(2, true);
+        assert_eq!(full.flops, 14 * n * n + 6 * 2 * n);
+        assert_eq!(full.dram_read, 40 * n * n);
+        assert_eq!(full.cache_read, full.dram_read);
+        assert_eq!(full.cache_flops_saved, n * (n - 1) * PAIR_FLOPS_SAVED);
+        assert_eq!(full.cache_build_flops, 0);
+        let re = TensorTable::build(&ip, 0).stream_tally(2, false);
+        let build = n * (n - 1) * TILE_BUILD_FLOPS_PER_PAIR;
+        assert_eq!(re.flops, (14 + 6 * 2) * n * n + build);
+        assert_eq!(re.cache_build_flops, build);
+        assert_eq!((re.cache_read, re.dram_read), (0, 0));
     }
 
     #[test]
@@ -443,17 +478,15 @@ mod tests {
         let ip = setup();
         let full = TensorTable::build(&ip, usize::MAX);
         let nq = ip.nq;
-        let mut buf = vec![0.0; STREAMS * nq];
-        let mut t = Tally::new();
         let i = nq + 3; // element 1, local point 3
-        let tile = full.tile(i, 1, &mut buf, &mut t);
+        let tile = full.tile(i, 1, &mut []);
         for c in 0..STREAMS {
-            assert_eq!(tile[c * nq + 3], 0.0, "diagonal slot of stream {c}");
+            assert_eq!(tile[c * nq + 3].to_bits(), 0, "diagonal slot of stream {c}");
         }
         // Off-diagonal entries are genuine tensor values (the diagonal
         // principal streams k00/d0 are strictly positive kernels).
         assert_ne!(tile[4], 0.0);
-        assert_ne!(tile[4 * nq + 4], 0.0);
+        assert_ne!(tile[2 * nq + 4], 0.0);
     }
 
     #[test]

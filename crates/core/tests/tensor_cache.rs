@@ -4,7 +4,8 @@
 //! agree to ≤1e-14 relative difference under every backend and under a
 //! memory budget that forces tile recomputation, and a table built once and
 //! reused across time steps yields bitwise-identical Jacobians to
-//! rebuilding it every step.
+//! rebuilding it every step. The five-stream, stage-once CPU kernel must
+//! leave the bits of the seven-stream, stage-per-tile one it replaced.
 
 use landau_core::ipdata::IpData;
 use landau_core::kernels::{
@@ -12,10 +13,12 @@ use landau_core::kernels::{
     inner_integral_cuda_model_cached, inner_integral_kokkos_cached, inner_integral_kokkos_model,
 };
 use landau_core::solver::{ThetaMethod, TimeIntegrator};
+use landau_core::tensor::landau_tensor_2d;
 use landau_core::tensor_cache::DEFAULT_BUDGET_BYTES;
 use landau_core::{Backend, LandauOperator, Species, SpeciesList, TensorTable};
 use landau_fem::FemSpace;
-use landau_mesh::presets::uniform_mesh;
+use landau_mesh::presets::{uniform_mesh, MeshSpec, RefineShell};
+use landau_testkit::oracle::{coeff_bits, SevenStreamTable};
 use landau_testkit::{cases, prop_assert, Rng};
 use landau_vgpu::kokkos::PlainFactory;
 
@@ -157,4 +160,86 @@ fn cache_accounting_reaches_device_counters() {
         cached.flops,
         uncached.flops
     );
+}
+
+/// The invariant the five-stream layout rests on: `U^K`'s second column is
+/// `U^D`'s `rz`/`zz` pair by assignment, so `k01`/`k11` carry the bits of
+/// `d1`/`d2` at every pair of points — near the axis, nearly coincident,
+/// far apart.
+#[test]
+fn tensor_k_second_column_is_d_bitwise() {
+    cases(256, |rng, case| {
+        let near_axis = case % 4 == 1;
+        let r_max = if near_axis { 1e-6 } else { 5.0 };
+        let (r, z) = (rng.f64_in(1e-12, r_max), rng.f64_in(-5.0, 5.0));
+        let (rb, zb) = match case % 4 {
+            0 | 1 => (rng.f64_in(1e-12, r_max), rng.f64_in(-5.0, 5.0)),
+            // Nearly coincident, down to where `k² = 1 − O(sep²)` is still
+            // under 1 (the kernels mask exact coincidence).
+            2 => (r * (1.0 + rng.f64_in(1e-6, 1e-3)), z),
+            _ => (r, z + r * rng.f64_in(1e-6, 1e-3)),
+        };
+        let t = landau_tensor_2d(r, z, rb, zb);
+        prop_assert!(
+            case,
+            t.k[0][1].to_bits() == t.d[1].to_bits() && t.k[1][1].to_bits() == t.d[2].to_bits(),
+            "({}, {}) vs ({}, {}): {:?}",
+            r,
+            z,
+            rb,
+            zb,
+            t
+        );
+    });
+}
+
+/// The new CPU kernel against the kernel it replaced, in both table modes.
+fn assert_matches_seven_stream_oracle(what: &str, ip: &IpData, sl: &SpeciesList) {
+    for (budget, resident) in [(usize::MAX, true), (0, false)] {
+        let (new, _) = inner_integral_cpu_cached(ip, sl, &TensorTable::build(ip, budget));
+        let old = SevenStreamTable::build(ip, resident).inner_integral(ip, sl);
+        assert_eq!(
+            coeff_bits(&new),
+            coeff_bits(&old),
+            "{what}, resident table: {resident}"
+        );
+    }
+}
+
+#[test]
+fn cpu_cached_kernel_is_bitwise_the_seven_stream_oracle() {
+    // The §V problem: ten species on the ~80-cell Q3 mesh.
+    let spec = MeshSpec {
+        domain_radius: 5.0,
+        base_level: 2,
+        shells: vec![RefineShell {
+            radius: 2.8,
+            max_cell_size: 0.65,
+        }],
+        tail_box: None,
+    };
+    let space = FemSpace::new(spec.build(), 3);
+    let sl = SpeciesList::thermal_quench_10(0.02);
+    let mut rng = Rng::new(13);
+    assert_matches_seven_stream_oracle("sec. V", &random_ipdata(&mut rng, &space, &sl), &sl);
+
+    // Two species on Q2 (nq = 9: the unroll remainder runs), then with one
+    // species' field factors exactly 0.0 and with −0.0 field values, where
+    // `0.0 + −0.0` and `0.0·x` decide the sign of a staged zero.
+    let space = FemSpace::new(uniform_mesh(3.0, 1), 2);
+    let mut sl = plasma();
+    let mut ip = random_ipdata(&mut rng, &space, &sl);
+    assert_matches_seven_stream_oracle("Q2", &ip, &sl);
+    sl.list[1].charge = 0.0;
+    assert_matches_seven_stream_oracle("Q2, neutral species", &ip, &sl);
+    for v in [&mut ip.f, &mut ip.dfr, &mut ip.dfz] {
+        for x in v.iter_mut().step_by(3) {
+            *x = -0.0;
+        }
+    }
+    assert_matches_seven_stream_oracle("Q2, -0.0 field values", &ip, &sl);
+    for x in ip.f.iter_mut().chain(&mut ip.dfr).chain(&mut ip.dfz) {
+        *x = -0.0;
+    }
+    assert_matches_seven_stream_oracle("Q2, all-(-0.0) field", &ip, &sl);
 }

@@ -39,6 +39,85 @@ pub fn scatter_element_matrix(el: &Element, ce: &[f64], a: &mut Csr, mode: Inser
     }
 }
 
+/// Where every element-matrix entry lands in a matrix on [`csr_pattern`]:
+/// the value slot of each expanded `(dof_r, dof_c)` target, in the order
+/// [`scatter_element_matrix`] visits them. Resolving the slots once
+/// replaces a CSR row search per target per assembly; a scatter through the
+/// map walks the same loops and adds the same `w_r * w_c * v` in the same
+/// order. Built lazily, once per space ([`FemSpace::scatter_map`]).
+#[derive(Clone, Debug)]
+pub struct ScatterMap {
+    /// Element `e`'s targets are `slots[start[e]..start[e + 1]]`.
+    start: Vec<usize>,
+    slots: Vec<u32>,
+    /// Stored entries of the pattern the slots index.
+    nnz: usize,
+}
+
+impl ScatterMap {
+    pub(crate) fn new(space: &FemSpace, pattern: &Csr) -> Self {
+        assert!(
+            pattern.nnz() <= u32::MAX as usize,
+            "slots are stored as u32"
+        );
+        let mut map = ScatterMap {
+            start: vec![0],
+            slots: Vec::new(),
+            nnz: pattern.nnz(),
+        };
+        for el in &space.elements {
+            for ni in &el.nodes {
+                for nj in &el.nodes {
+                    for &(di, _) in &ni.terms {
+                        for &(dj, _) in &nj.terms {
+                            let k = pattern.find(di, dj).expect("entry in pattern");
+                            map.slots.push(k as u32);
+                        }
+                    }
+                }
+            }
+            map.start.push(map.slots.len());
+        }
+        map.slots.shrink_to_fit();
+        map
+    }
+
+    /// Call `add(slot, w_r * w_c * v)` for every target of every nonzero
+    /// entry `v` of `ce`, the dense matrix of element `e` (`el`).
+    #[inline]
+    pub fn scatter(&self, e: usize, el: &Element, ce: &[f64], mut add: impl FnMut(usize, f64)) {
+        let nb = el.nodes.len();
+        debug_assert_eq!(ce.len(), nb * nb);
+        let slots = &self.slots[self.start[e]..self.start[e + 1]];
+        let mut t = 0;
+        for (bi, ni) in el.nodes.iter().enumerate() {
+            for (bj, nj) in el.nodes.iter().enumerate() {
+                let v = ce[bi * nb + bj];
+                if v == 0.0 {
+                    t += ni.terms.len() * nj.terms.len();
+                    continue;
+                }
+                for &(_, wi) in &ni.terms {
+                    for &(_, wj) in &nj.terms {
+                        add(slots[t] as usize, wi * wj * v);
+                        t += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stored entries of the pattern the slots index into.
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    /// Heap bytes held by the map.
+    pub fn heap_bytes(&self) -> usize {
+        8 * self.start.capacity() + 4 * self.slots.capacity()
+    }
+}
+
 /// Scatter a dense element vector (load vector / functional contribution).
 pub fn scatter_element_vector(el: &Element, fe: &[f64], out: &mut [f64]) {
     debug_assert_eq!(fe.len(), el.nodes.len());
@@ -379,6 +458,30 @@ mod tests {
         let zvec = s.interpolate(|_r, z| z);
         let got2: f64 = zvec.iter().zip(&df).map(|(a, b)| a * b).sum();
         assert!((got2 - 64.0 / 3.0).abs() < 1e-9, "{got2}");
+    }
+
+    #[test]
+    fn scatter_map_adds_what_the_row_search_adds_bitwise() {
+        // Hanging nodes give multi-term expansions; zero entries are skipped
+        // on both sides.
+        let s = hanging_space(3);
+        let nb2 = s.tab.nb * s.tab.nb;
+        let mut by_search = csr_pattern(&s);
+        let mut by_map = csr_pattern(&s);
+        for (e, el) in s.elements.iter().enumerate() {
+            let ce: Vec<f64> = (0..nb2)
+                .map(|k| match (k + e) % 5 {
+                    0 => 0.0,
+                    r => (0.1 + (k * 7 + e * 13) as f64).sin() / r as f64,
+                })
+                .collect();
+            scatter_element_matrix(el, &ce, &mut by_search, InsertMode::Add);
+            let map = s.scatter_map(&by_map);
+            map.scatter(e, el, &ce, |k, v| by_map.vals[k] += v);
+        }
+        let bits = |m: &Csr| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_map), bits(&by_search));
+        assert!(by_map.vals.iter().any(|&v| v != 0.0));
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub mod tabulation;
 pub use assemble::{
     assemble_dz_matrix, assemble_mass_matrix, csr_pattern, l2_project, pointwise_integral,
     pointwise_integral2, scatter_element_matrix, scatter_element_vector, weighted_functional,
+    ScatterMap,
 };
 pub use space::{Element, FemSpace, NodeExpansion};
 pub use tabulation::Tabulation;

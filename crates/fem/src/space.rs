@@ -1,10 +1,13 @@
 //! The finite-element space: global node numbering, hanging-node
 //! constraints, element closures, point evaluation.
 
+use crate::assemble::ScatterMap;
 use crate::tabulation::Tabulation;
 use landau_mesh::forest::{FaceNbr, Forest, FACE_BOTTOM, FACE_LEFT, FACE_RIGHT, FACE_TOP};
 use landau_mesh::CellKey;
+use landau_sparse::csr::Csr;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Exact node coordinate: integers in `p`-scaled finest-grid units.
 type NodeCoord = (i64, i64);
@@ -73,6 +76,8 @@ pub struct FemSpace {
     pub elements: Vec<Element>,
     /// Physical position of each dof's node.
     pub dof_positions: Vec<(f64, f64)>,
+    /// Element entry → CSR slot map, built on first use.
+    scatter: OnceLock<ScatterMap>,
 }
 
 impl FemSpace {
@@ -274,7 +279,20 @@ impl FemSpace {
             n_dofs,
             elements,
             dof_positions,
+            scatter: OnceLock::new(),
         }
+    }
+
+    /// The element-matrix scatter map of this space, shared by every
+    /// operator on it. `on` is any matrix on [`crate::csr_pattern`] of this
+    /// space; the first call resolves the slots against it.
+    pub fn scatter_map(&self, on: &Csr) -> &ScatterMap {
+        let map = self.scatter.get_or_init(|| ScatterMap::new(self, on));
+        assert!(
+            on.n_rows == self.n_dofs && on.nnz() == map.nnz(),
+            "matrix is not on this space's pattern"
+        );
+        map
     }
 
     /// Element order `p`.
@@ -313,6 +331,7 @@ impl FemSpace {
             + self.tab.quad.weights.capacity() * size_of::<f64>();
         // Forest leaf set + sorted list + index, roughly 3 entries per cell.
         b += self.forest.cells().len() * 3 * (size_of::<CellKey>() + size_of::<usize>());
+        b += self.scatter.get().map_or(0, ScatterMap::heap_bytes);
         b
     }
 

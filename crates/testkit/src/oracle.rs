@@ -5,10 +5,16 @@
 //! * [`RefBand`] — the scalar full-band LU.
 //! * [`RebuildIntegrator`] — the implicit step whose linear solver is
 //!   rebuilt from CSR every Newton iteration.
+//! * [`SevenStreamTable`] — the cached inner integral that stored `U^K`'s
+//!   second column and staged the species sums per `(test point, tile)`.
 
 use landau_core::fault_sites::SITE_LU_FACTOR;
+use landau_core::ipdata::IpData;
+use landau_core::kernels::IpCoeffs;
 use landau_core::solver::{NonFiniteSite, SolveError, StepStats, ThetaMethod};
-use landau_core::{FaultKind, LandauOperator};
+use landau_core::tensor::landau_tensor_2d;
+use landau_core::{FaultKind, LandauOperator, SpeciesList};
+use landau_par::prelude::*;
 use landau_sparse::csr::Csr;
 use landau_sparse::rcm::bandwidth;
 use landau_sparse::vecops;
@@ -406,6 +412,209 @@ impl RebuildIntegrator {
                 Err(e)
             }
         }
+    }
+}
+
+/// Every `G_K`, then every `G_D` component as raw bits, for `assert_eq!`
+/// between a production kernel's coefficients and an oracle's.
+pub fn coeff_bits(c: &IpCoeffs) -> Vec<u64> {
+    let gk = c.gk.iter().flatten();
+    gk.chain(c.gd.iter().flatten())
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// The tensor table and CPU cached inner integral as they were before the
+/// table dropped its two duplicate streams and the species sums left the
+/// pair loop: seven streams `k00, k01, k10, k11, d0, d1, d2` per tile, and
+/// `tkr/tkz/td` re-staged for every `(test point, field tile)`.
+/// `landau_core::kernels::inner_integral_cpu_cached` must return these
+/// bits from its five streams and its one staging pass, in either table
+/// mode. Only the per-tile `Tally` metering is left out.
+pub struct SevenStreamTable {
+    n: usize,
+    nq: usize,
+    ne: usize,
+    /// `(i·N_e + je)·7·nq + c·nq + jj`; empty when tiles are recomputed.
+    data: Vec<f64>,
+    r: Vec<f64>,
+    z: Vec<f64>,
+    w: Vec<f64>,
+}
+
+impl SevenStreamTable {
+    const STREAMS: usize = 7;
+    const UNROLL: usize = 4;
+
+    /// The table for `ip`'s geometry: `resident` stores all `56 N²` bytes,
+    /// otherwise every tile is recomputed when it is streamed.
+    pub fn build(ip: &IpData, resident: bool) -> Self {
+        let (n, nq) = (ip.n, ip.nq);
+        let mut table = SevenStreamTable {
+            n,
+            nq,
+            ne: n / nq,
+            data: Vec::new(),
+            r: ip.r.clone(),
+            z: ip.z.clone(),
+            w: ip.w.clone(),
+        };
+        if resident {
+            let tile = Self::STREAMS * nq;
+            let mut data = vec![0.0f64; n * table.ne * tile];
+            for (t, out) in data.chunks_mut(tile).enumerate() {
+                table.fill_tile(t / table.ne, t % table.ne, out);
+            }
+            table.data = data;
+        }
+        table
+    }
+
+    fn fill_tile(&self, i: usize, je: usize, out: &mut [f64]) {
+        let nq = self.nq;
+        let (ri, zi) = (self.r[i], self.z[i]);
+        let (k00, rest) = out.split_at_mut(nq);
+        let (k01, rest) = rest.split_at_mut(nq);
+        let (k10, rest) = rest.split_at_mut(nq);
+        let (k11, rest) = rest.split_at_mut(nq);
+        let (d0, rest) = rest.split_at_mut(nq);
+        let (d1, d2) = rest.split_at_mut(nq);
+        for jj in 0..nq {
+            let j = je * nq + jj;
+            if j == i {
+                k00[jj] = 0.0;
+                k01[jj] = 0.0;
+                k10[jj] = 0.0;
+                k11[jj] = 0.0;
+                d0[jj] = 0.0;
+                d1[jj] = 0.0;
+                d2[jj] = 0.0;
+                continue;
+            }
+            let t = landau_tensor_2d(ri, zi, self.r[j], self.z[j]);
+            let w = self.w[j];
+            k00[jj] = w * t.k[0][0];
+            k01[jj] = w * t.k[0][1];
+            k10[jj] = w * t.k[1][0];
+            k11[jj] = w * t.k[1][1];
+            d0[jj] = w * t.d[0];
+            d1[jj] = w * t.d[1];
+            d2[jj] = w * t.d[2];
+        }
+    }
+
+    fn tile<'a>(&'a self, i: usize, je: usize, buf: &'a mut [f64]) -> &'a [f64] {
+        let len = Self::STREAMS * self.nq;
+        if self.data.is_empty() {
+            self.fill_tile(i, je, &mut buf[..len]);
+            &buf[..len]
+        } else {
+            let off = (i * self.ne + je) * len;
+            &self.data[off..off + len]
+        }
+    }
+
+    /// `CachedStream::accumulate` as it was: stage tile `je`'s species
+    /// sums, then fold the seven streams in.
+    #[allow(clippy::too_many_arguments)]
+    fn accumulate(
+        &self,
+        ip: &IpData,
+        (fk, fd): (&[f64], &[f64]),
+        i: usize,
+        je: usize,
+        sums: &mut [f64],
+        tiles: &mut [f64],
+        acc: &mut [f64; 5],
+    ) {
+        const UNROLL: usize = SevenStreamTable::UNROLL;
+        let nq = self.nq;
+        let n = ip.n;
+        let j0 = je * nq;
+        let (tkr, rest) = sums.split_at_mut(nq);
+        let (tkz, td) = rest.split_at_mut(nq);
+        tkr[..nq].fill(0.0);
+        tkz[..nq].fill(0.0);
+        td[..nq].fill(0.0);
+        for (b, (&fkb, &fdb)) in fk.iter().zip(fd).enumerate() {
+            let off = b * n + j0;
+            let dfr = &ip.dfr[off..off + nq];
+            let dfz = &ip.dfz[off..off + nq];
+            let f = &ip.f[off..off + nq];
+            for jj in 0..nq {
+                tkr[jj] += fkb * dfr[jj];
+                tkz[jj] += fkb * dfz[jj];
+                td[jj] += fdb * f[jj];
+            }
+        }
+        let streams = self.tile(i, je, tiles);
+        let (k00, rest) = streams.split_at(nq);
+        let (k01, rest) = rest.split_at(nq);
+        let (k10, rest) = rest.split_at(nq);
+        let (k11, rest) = rest.split_at(nq);
+        let (d0, rest) = rest.split_at(nq);
+        let (d1, d2) = rest.split_at(nq);
+        let mut p = [[0.0f64; UNROLL]; 5];
+        let mut jj = 0;
+        while jj + UNROLL <= nq {
+            #[allow(clippy::needless_range_loop)] // lockstep index into 5 lanes
+            for l in 0..UNROLL {
+                let j = jj + l;
+                p[0][l] += k00[j] * tkr[j] + k01[j] * tkz[j];
+                p[1][l] += k10[j] * tkr[j] + k11[j] * tkz[j];
+                p[2][l] += d0[j] * td[j];
+                p[3][l] += d1[j] * td[j];
+                p[4][l] += d2[j] * td[j];
+            }
+            jj += UNROLL;
+        }
+        while jj < nq {
+            let l = jj % UNROLL;
+            p[0][l] += k00[jj] * tkr[jj] + k01[jj] * tkz[jj];
+            p[1][l] += k10[jj] * tkr[jj] + k11[jj] * tkz[jj];
+            p[2][l] += d0[jj] * td[jj];
+            p[3][l] += d1[jj] * td[jj];
+            p[4][l] += d2[jj] * td[jj];
+            jj += 1;
+        }
+        for (c, a) in acc.iter_mut().enumerate() {
+            *a += (p[c][0] + p[c][1]) + (p[c][2] + p[c][3]);
+        }
+    }
+
+    /// `inner_integral_cpu_cached` as it was: a parallel loop over
+    /// elements, each test point accumulating every field-element tile.
+    pub fn inner_integral(&self, ip: &IpData, species: &SpeciesList) -> IpCoeffs {
+        assert!(
+            self.n == ip.n
+                && self.nq == ip.nq
+                && self.r == ip.r
+                && self.z == ip.z
+                && self.w == ip.w,
+            "table geometry must match the ipdata"
+        );
+        let fk = species.k_field_factors();
+        let fd = species.d_field_factors();
+        let nq = self.nq;
+        let mut out = IpCoeffs::zeros(ip.n);
+        out.gk
+            .par_chunks_mut(nq)
+            .zip(out.gd.par_chunks_mut(nq))
+            .enumerate()
+            .for_each(|(e, (gke, gde))| {
+                let mut sums = vec![0.0; 3 * nq];
+                let mut tiles = vec![0.0; Self::STREAMS * nq];
+                for iq in 0..nq {
+                    let gi = e * nq + iq;
+                    let mut acc = [0.0f64; 5];
+                    for je in 0..self.ne {
+                        self.accumulate(ip, (&fk, &fd), gi, je, &mut sums, &mut tiles, &mut acc);
+                    }
+                    gke[iq] = [acc[0], acc[1]];
+                    gde[iq] = [acc[2], acc[3], acc[4]];
+                }
+            });
+        out
     }
 }
 
