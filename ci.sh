@@ -2,7 +2,8 @@
 # Staged local CI: `./ci.sh [lint|test|bench|all]` (default: all).
 #
 # The stages mirror the parallel CI jobs (.github/workflows/ci.yml):
-#   lint  — rustfmt, clippy -D warnings, the landau-check lint binary
+#   lint  — rustfmt, clippy -D warnings, rustdoc -D warnings, the
+#           landau-check lint binary
 #   test  — release build, tier-1 + workspace tests, no-record obs
 #           build, static kernel verifier, miri (when installed)
 #   bench — quick gated benches + serve load test, bench_gate against
@@ -26,6 +27,9 @@ run_lint() {
 
   echo "== cargo clippy (deny warnings)"
   cargo clippy --workspace --all-targets -- -D warnings
+
+  echo "== cargo doc (deny warnings: dangling intra-doc links, private links)"
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
   echo "== landau-check lint"
   cargo run -q -p landau-check --bin lint

@@ -2,7 +2,8 @@
 //! batched-solver scaling figures).
 //!
 //! Stages:
-//!   1. *Verification* — fused and host-loop advances of the same batch
+//!   1. *Verification* — the fused advance and the per-vertex host loop
+//!      (`landau_testkit::oracle::host_loop_advance`) of the same batch
 //!      must agree **bitwise** on every vertex state before any timing is
 //!      trusted (`batch_bitwise_identical`, gated exactly).
 //!   2. *Scaling* — productive Newton iterations per second of the fused
@@ -10,10 +11,8 @@
 //!      baseline (`newton_per_sec_fused_*` may not fall under 0.6× of it),
 //!      plus the reference host loop at 256 and 1024. The host loop is the
 //!      bitwise oracle, not a competitor: `speedup_256`/`speedup_1024` are
-//!      reported for the record only. Both sides run on one pool thread —
-//!      the host loop spreads vertices over the pool and the lockstep
-//!      orchestrator does not, so any other count compares thread counts
-//!      rather than pipelines.
+//!      reported for the record only. Both sides run on one pool thread,
+//!      so the ratio compares pipelines rather than thread counts.
 //!
 //! Plain timing harness (`harness = false`):
 //! `cargo bench -p landau-bench --bench batch_scaling -- --quick`.
@@ -22,11 +21,12 @@
 //! schema drift); full mode only takes more steps.
 
 use landau_bench::write_bench_json;
-use landau_core::batch::{BatchMode, BatchedAdvance};
+use landau_core::batch::{BatchStats, BatchedAdvance};
 use landau_core::operator::Backend;
 use landau_core::{Species, SpeciesList};
 use landau_fem::FemSpace;
 use landau_mesh::presets::{MeshSpec, RefineShell};
+use landau_testkit::oracle::host_loop_advance;
 
 const COUNTS: [usize; 5] = [1, 16, 64, 256, 1024];
 const DT: f64 = 0.4;
@@ -60,16 +60,15 @@ fn plasma() -> SpeciesList {
     ])
 }
 
-/// Advance a fresh batch and return (productive newton it/s, the stats).
+/// Advance a fresh batch with `advance` (the fused pipeline, or the
+/// host-loop oracle) and return (productive newton it/s, the stats).
 fn run(
     space: &FemSpace,
-    mode: BatchMode,
     n_vertices: usize,
-    steps: usize,
-) -> (f64, landau_core::batch::BatchStats) {
+    advance: impl FnOnce(&mut BatchedAdvance) -> BatchStats,
+) -> (f64, BatchStats) {
     let mut b = BatchedAdvance::new(space, &plasma(), Backend::Cpu, n_vertices);
-    b.set_mode(mode);
-    let stats = b.advance(DT, steps, 0.0);
+    let stats = advance(&mut b);
     assert_eq!(stats.failed, 0, "healthy batch must not fail: {stats:?}");
     (stats.newton_per_sec, stats)
 }
@@ -84,8 +83,7 @@ fn main() {
 
     // --- Stage 1: bitwise gate -------------------------------------------
     let mut host = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 8);
-    host.set_mode(BatchMode::HostLoop);
-    let hs = host.advance(DT, steps, 0.0);
+    let hs = host_loop_advance(&mut host, DT, steps, 0.0);
     let mut fused = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 8);
     let fs = fused.advance(DT, steps, 0.0);
     let identical = host.states.iter().zip(&fused.states).all(|(a, b)| {
@@ -113,7 +111,7 @@ fn main() {
     );
     let mut fused_at = std::collections::BTreeMap::new();
     for &nv in &COUNTS {
-        let (nps, st) = run(&space, BatchMode::Fused, nv, steps);
+        let (nps, st) = run(&space, nv, |b| b.advance(DT, steps, 0.0));
         let lanes_per_launch = if st.launches == 0 {
             0.0
         } else {
@@ -127,7 +125,7 @@ fn main() {
         fused_at.insert(nv, nps);
     }
     for &nv in &[256usize, 1024] {
-        let (nps, st) = run(&space, BatchMode::HostLoop, nv, steps);
+        let (nps, st) = run(&space, nv, |b| host_loop_advance(b, DT, steps, 0.0));
         println!(
             "{nv:>9} {nps:>14.1} {:>10} {:>12} {:>10.2} (host loop)",
             0, "-", st.seconds

@@ -2,10 +2,13 @@
 //! the PETSc tutorial the paper ships (`ex2.c` in the Landau tutorials).
 //!
 //! Usage (all flags optional):
-//!   ex2 [-z <Z>] [-ion_mass <m/me>] [-dt <dt>] [-e0_over_ec <f>]
-//!       [-mass_factor <f>] [-t_cold <T>] [-steps <n>] [-equil_steps <n>]
-//!       [-cells_per_vt <c>] [-domain <R>] [-backend cpu|cuda|kokkos]
-//!       [-spitzer_only] [-csv]
+//!
+//! ```text
+//! ex2 [-z <Z>] [-ion_mass <m/me>] [-dt <dt>] [-e0_over_ec <f>]
+//!     [-mass_factor <f>] [-t_cold <T>] [-steps <n>] [-equil_steps <n>]
+//!     [-cells_per_vt <c>] [-domain <R>] [-backend cpu|cuda|kokkos]
+//!     [-spitzer_only] [-csv]
+//! ```
 
 use landau_core::operator::Backend;
 use landau_quench::{measure_resistivity, QuenchConfig, QuenchDriver, ResistivityConfig};

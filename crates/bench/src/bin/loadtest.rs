@@ -7,7 +7,7 @@
 //!
 //! * p50/p99 submit-to-first-record and end-to-end latency, read from
 //!   the server's own `serve.*` histograms via the batch
-//!   [`HistogramSnapshot::quantiles`] API,
+//!   [`landau_obs::HistogramSnapshot::quantiles`] API,
 //! * throughput (completed jobs per second of wall time),
 //! * fairness spread across tenants (relative grant-count imbalance),
 //! * a kill–resume probe: one job is cancelled mid-flight and resumed,

@@ -17,24 +17,24 @@
 //!   with a per-vertex active mask: converged and failed vertices retire
 //!   from subsequent fused launches without desynchronizing the rest.
 //!
-//! **Bitwise contract.** Per vertex, the lockstep iteration replays the
-//! exact arithmetic of [`TimeIntegrator`]'s guarded step: the batched
-//! kernels are per-lane bitwise equal to the per-vertex cached kernels
-//! (tested in `kernels`), the slot map — the very one the solo path
-//! refills its solver through — writes the same `M − γL` values, and the
-//! batched LU
-//! factor/solve is per-lane bitwise equal to `BlockBandSolver` (tested in
-//! `landau-sparse`). A lane that fails its lockstep attempt routes into
-//! the *identical* [`AdaptiveStepper`] recovery policy (damped retry →
-//! Δt halving) that the host loop uses, so the whole batch state is
-//! bitwise equal to the per-vertex reference path.
+//! **Bitwise contract.** Per vertex, the lockstep iteration is the solo
+//! integrator's guarded step with the linear algebra swapped: every vertex
+//! is a [`NewtonLane`] — the one the solo step drives — so the control
+//! decisions are the same code, the batched kernels are per-lane bitwise
+//! equal to the per-vertex cached kernels (tested in `kernels`), the slot
+//! map — the very one the solo path refills its solver through — writes
+//! the same `M − γL` values, and the batched LU factor/solve is per-lane
+//! bitwise equal to `BlockBandSolver` (tested in `landau-sparse`). A lane
+//! that fails its lockstep attempt routes into the *identical*
+//! [`AdaptiveStepper`] recovery policy (damped retry → Δt halving) that a
+//! vertex stepping alone takes, so the whole batch state is bitwise equal
+//! to the per-vertex reference (`landau_testkit::oracle::host_loop_advance`).
 
-use crate::invariants::StepContext;
 use crate::kernels;
 use crate::operator::Backend;
 use crate::recover::{AdaptiveStepper, RecoveryFailure, RecoveryStats};
 use crate::solver::{
-    all_finite, NonFiniteSite, ResidualScratch, SolveError, StepStats, STALL_REDUCTION,
+    all_finite, NewtonLane, NonFiniteSite, ResidualScratch, SolveError, StepStats,
 };
 use landau_sparse::band::BandMap;
 use landau_sparse::csr::Csr;
@@ -92,6 +92,8 @@ pub(crate) struct FusedWorkspace {
     mats: Vec<Vec<Csr>>,
     /// Work vectors of the per-lane residual evaluations.
     residual_scratch: ResidualScratch,
+    /// One lane's Newton update `J⁻¹ R` in dof ordering.
+    d: Vec<f64>,
 }
 
 impl FusedWorkspace {
@@ -122,6 +124,7 @@ impl FusedWorkspace {
             x_soa: vec![0.0; n * n_lanes],
             mats,
             residual_scratch: ResidualScratch::default(),
+            d: vec![0.0; n * ns],
         }
     }
 
@@ -147,33 +150,6 @@ impl FusedWorkspace {
     }
 }
 
-/// One lane's Newton state inside the lockstep loop — the per-vertex
-/// locals of `TimeIntegrator::step_guarded`, lifted into a struct so N
-/// vertices can interleave through the fused stages.
-struct Lane {
-    /// Vertex index in the batch.
-    v: usize,
-    /// Entry state `f^n` (the transactional restore point).
-    fn_old: Vec<f64>,
-    /// Explicit θ-method part (only for θ < 1).
-    rhs_old: Option<Vec<f64>>,
-    /// Residual buffer.
-    r: Vec<f64>,
-    /// Newton update buffer.
-    d: Vec<f64>,
-    theta: f64,
-    r0_norm: Option<f64>,
-    prev_rnorm: f64,
-    stall: usize,
-    /// Loop entries consumed (the per-lane Newton budget).
-    entries: usize,
-    stats: StepStats,
-    failure: Option<SolveError>,
-    /// Retired from the lockstep (converged, failed, or budget out).
-    done: bool,
-    t_start: Instant,
-}
-
 /// Outcome of one macro step for one vertex (`None` for vertices the
 /// caller skipped).
 pub(crate) type LaneOutcome = Option<Result<(StepStats, RecoveryStats), RecoveryFailure>>;
@@ -196,8 +172,8 @@ pub(crate) fn fused_macro_step(
 
     // Lanes whose recovery scale is already reduced take the subdivided
     // path directly — their substep sizes differ, so they cannot ride the
-    // lockstep launches this macro step. This is exactly the host loop's
-    // `advance` dispatch for `dt_scale < 1`.
+    // lockstep launches this macro step. This is exactly the dispatch of
+    // `AdaptiveStepper::advance` for `dt_scale < 1`.
     let mut lockstep: Vec<usize> = Vec::new();
     for v in 0..n_vertices {
         if skip[v] {
@@ -225,85 +201,35 @@ pub(crate) fn fused_macro_step(
         .clone();
 
     let sp_step = landau_obs::span(landau_obs::names::STEP);
-    let n_total = ws.n * ws.ns;
 
-    // Per-lane entry bookkeeping (the prologue of `step_guarded`).
-    let mut lanes: Vec<Lane> = Vec::with_capacity(lockstep.len());
-    for &v in &lockstep {
-        let st = &mut steppers[v];
-        let theta = st.ti.method.theta();
-        let state = &mut states[v];
-        let t_start = Instant::now();
-        let mut lane = Lane {
-            v,
-            fn_old: Vec::new(),
-            rhs_old: None,
-            r: vec![0.0; n_total],
-            d: vec![0.0; n_total],
-            theta,
-            r0_norm: None,
-            prev_rnorm: f64::INFINITY,
-            stall: 0,
-            entries: 0,
-            stats: StepStats::default(),
-            failure: None,
-            done: false,
-            t_start,
-        };
-        if !all_finite(state) {
-            lane.failure = Some(SolveError::NonFinite {
-                site: NonFiniteSite::State,
-            });
-            lane.done = true;
-        } else {
-            lane.fn_old = state.to_vec();
-            if theta < 1.0 {
-                // Explicit part for θ < 1 (batch advances pass no source).
-                let t0 = Instant::now();
-                lane.rhs_old = Some(st.ti.op.collision_rhs(&lane.fn_old, e_field));
-                lane.stats.t_landau += t0.elapsed().as_secs_f64();
-            }
-        }
-        lanes.push(lane);
-    }
+    // One Newton lane per lockstep vertex (`lanes[k]` is vertex
+    // `lockstep[k]`; batch advances pass no source).
+    let mut lanes: Vec<NewtonLane> = lockstep
+        .iter()
+        .map(|&v| NewtonLane::begin(&mut steppers[v].ti, &states[v], dt, e_field, None))
+        .collect();
 
     // The lockstep Newton loop: one fused launch per stage per round.
     loop {
-        // Retire lanes whose Newton budget is exhausted — the post-loop
-        // divergence/stall classification of `step_guarded`.
-        for lane in lanes.iter_mut() {
-            if lane.done {
+        // Claim this round's iteration on every lane still going; a lane
+        // whose Newton budget is spent retires here.
+        let mut live: Vec<usize> = Vec::new();
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            if !lane.live() {
                 continue;
             }
-            if lane.entries >= steppers[lane.v].ti.max_newton {
-                let r_final = lane.stats.residual;
-                let r0 = lane.r0_norm.unwrap_or(r_final);
-                lane.failure = Some(if r_final >= r0 {
-                    SolveError::NewtonDiverged {
-                        iters: lane.stats.newton_iters,
-                        r0,
-                        r_final,
-                    }
-                } else {
-                    SolveError::NewtonStalled {
-                        iters: lane.stats.newton_iters,
-                        r_final,
-                    }
-                });
-                lane.done = true;
+            if lane.enter(steppers[lockstep[k]].ti.max_newton) {
+                live.push(k);
+            } else {
                 counters.retired += 1;
             }
         }
-        let live: Vec<usize> = (0..lanes.len()).filter(|&k| !lanes[k].done).collect();
         if live.is_empty() {
             break;
         }
         let _sp_iter = landau_obs::span(landau_obs::names::NEWTON_ITER);
         counters.newton_rounds += 1;
         counters.newton_lane_iters += live.len() as u64;
-        for &k in &live {
-            lanes[k].entries += 1;
-        }
 
         // Stage 1 — fused Jacobian build: pack every live lane, run ONE
         // batched inner-integral launch over all (lane, element) blocks,
@@ -311,14 +237,17 @@ pub(crate) fn fused_macro_step(
         let sp_jb = landau_obs::span(landau_obs::names::JACOBIAN_BUILD);
         let t_kernel = Instant::now();
         for &k in &live {
-            let st = &mut steppers[lanes[k].v];
-            let space = st.ti.op.space.clone();
-            st.ti.op.ipdata.pack(&space, &states[lanes[k].v]);
+            let v = lockstep[k];
+            let op = &mut steppers[v].ti.op;
+            let space = op.space.clone();
+            op.ipdata.pack(&space, &states[v]);
         }
-        let active: Vec<bool> = lanes.iter().map(|l| !l.done).collect();
+        let active: Vec<bool> = lanes.iter().map(NewtonLane::live).collect();
         let (mut coeffs, tallies) = {
-            let ips: Vec<&crate::ipdata::IpData> =
-                lanes.iter().map(|l| &steppers[l.v].ti.op.ipdata).collect();
+            let ips: Vec<&crate::ipdata::IpData> = lockstep
+                .iter()
+                .map(|&v| &steppers[v].ti.op.ipdata)
+                .collect();
             let sp_bk = landau_obs::span(landau_obs::names::BATCH_KERNEL);
             let sp_k = landau_obs::span(landau_obs::names::KERNEL);
             let out = match backend {
@@ -345,14 +274,12 @@ pub(crate) fn fused_macro_step(
         counters.active_lane_sum += live.len() as u64;
         let t_kernel_share = t_kernel.elapsed().as_secs_f64() / live.len() as f64;
         for &k in &live {
-            let v = lanes[k].v;
+            let v = lockstep[k];
             let t0 = Instant::now();
-            let st = &mut steppers[v];
+            let op = &mut steppers[v].ti.op;
             // Seeded fault injection: same per-device poll cadence as the
             // per-vertex `assemble` (one poll per lane per iteration).
-            if let Some(f) = st
-                .ti
-                .op
+            if let Some(f) = op
                 .device
                 .poll_fault(SITE_LANDAU_JACOBIAN, coeffs[k].lanes())
             {
@@ -360,84 +287,29 @@ pub(crate) fn fused_macro_step(
             }
             // The fused-launch-specific site: exists only on this path, so
             // plans can target the batched Jacobian stage without also
-            // firing on the host loop. Disarmed polls are one relaxed load.
-            if let Some(f) = st
-                .ti
-                .op
+            // firing on the solo stepper. Disarmed polls are one relaxed
+            // load.
+            if let Some(f) = op
                 .device
                 .poll_fault(SITE_BATCHED_JACOBIAN, coeffs[k].lanes())
             {
                 coeffs[k].apply_fault(&f);
             }
-            st.ti
-                .op
-                .assemble_tail(&coeffs[k], tallies[k], &mut ws.mats[v], e_field);
+            op.assemble_tail(&coeffs[k], tallies[k], &mut ws.mats[v], e_field);
             lanes[k].stats.t_landau += t_kernel_share + t0.elapsed().as_secs_f64();
         }
         drop(sp_jb);
 
-        // Stage 2 — per-lane residuals and the convergence guard ladder
-        // (identical order and arithmetic to `step_guarded`).
-        for &k in &live {
-            let lane = &mut lanes[k];
-            let st = &steppers[lane.v];
-            let sp_res = landau_obs::span(landau_obs::names::RESIDUAL);
-            st.ti.residual(
-                &ws.mats[lane.v],
-                &states[lane.v],
-                &lane.fn_old,
-                None,
-                lane.rhs_old.as_deref(),
-                dt,
-                lane.theta,
-                &mut lane.r,
-                &mut ws.residual_scratch,
-            );
-            let rnorm = vecops::norm2(&lane.r);
-            drop(sp_res);
-            lane.stats.residual = rnorm;
-            if !rnorm.is_finite() {
-                lane.failure = Some(SolveError::NonFinite {
-                    site: NonFiniteSite::Residual,
-                });
-                lane.done = true;
-                counters.retired += 1;
-                continue;
-            }
-            let r0 = *lane.r0_norm.get_or_insert(rnorm);
-            if rnorm <= st.ti.atol + st.ti.rtol * r0 {
-                lane.stats.converged = true;
-                lane.done = true;
-                counters.retired += 1;
-                continue;
-            }
-            if rnorm > st.ti.divergence_ratio * r0 {
-                lane.failure = Some(SolveError::NewtonDiverged {
-                    iters: lane.stats.newton_iters,
-                    r0,
-                    r_final: rnorm,
-                });
-                lane.done = true;
-                counters.retired += 1;
-                continue;
-            }
-            if rnorm >= STALL_REDUCTION * lane.prev_rnorm {
-                lane.stall += 1;
-                if lane.stall >= st.ti.stall_window {
-                    lane.failure = Some(SolveError::NewtonStalled {
-                        iters: lane.stats.newton_iters,
-                        r_final: rnorm,
-                    });
-                    lane.done = true;
-                    counters.retired += 1;
-                    continue;
-                }
-            } else {
-                lane.stall = 0;
-            }
-            lane.prev_rnorm = rnorm;
-        }
-        let live: Vec<usize> = (0..lanes.len()).filter(|&k| !lanes[k].done).collect();
+        // Stage 2 — per-lane residuals, each judged by its lane's ladder.
+        let entered = live.len();
+        live.retain(|&k| {
+            let (v, lane) = (lockstep[k], &mut lanes[k]);
+            let ti = &steppers[v].ti;
+            let rnorm =
+                lane.residual_norm(ti, &ws.mats[v], &states[v], None, &mut ws.residual_scratch);
+            lane.judge(ti, rnorm)
+        });
+        counters.retired += (entered - live.len()) as u64;
         if live.is_empty() {
             continue;
         }
@@ -460,57 +332,43 @@ pub(crate) fn fused_macro_step(
         let mut cpos = vec![usize::MAX; lanes.len()];
         let mut mask = vec![false; ws.n_lanes];
         for (ci, &k) in live.iter().enumerate() {
-            let v = lanes[k].v;
+            let v = lockstep[k];
             let dst = ci * ws.ns;
             cpos[k] = dst;
             let neg_gamma = -(dt * lanes[k].theta);
             ws.fill_vertex(v, dst, &steppers[v].ti.op.mass, neg_gamma);
-            // Same per-device fault cadence as the host path's
-            // `poll_fault(SITE_LU_FACTOR, n_blocks)` after the refill.
-            if let Some(f) = steppers[v].ti.op.device.poll_fault(SITE_LU_FACTOR, ws.ns) {
-                if matches!(f.kind, FaultKind::SingularBlock) {
-                    ws.band.poison(dst + f.index % ws.ns);
+            // Same per-device fault cadence as the solo step's
+            // `poll_fault(SITE_LU_FACTOR, n_blocks)` after the refill, then
+            // the fused-only factor site: a singular block injected there
+            // hits the lockstep sweep without touching the solo stepper.
+            for site in [SITE_LU_FACTOR, SITE_BATCHED_FACTOR] {
+                if let Some(f) = steppers[v].ti.op.device.poll_fault(site, ws.ns) {
+                    if matches!(f.kind, FaultKind::SingularBlock) {
+                        ws.band.poison(dst + f.index % ws.ns);
+                    }
                 }
             }
-            // Fused-only factor site: a singular block injected here hits
-            // the lockstep sweep without touching the host-loop oracle.
-            if let Some(f) = steppers[v]
-                .ti
-                .op
-                .device
-                .poll_fault(SITE_BATCHED_FACTOR, ws.ns)
-            {
-                if matches!(f.kind, FaultKind::SingularBlock) {
-                    ws.band.poison(dst + f.index % ws.ns);
-                }
-            }
-            for a in 0..ws.ns {
-                mask[dst + a] = true;
-            }
+            mask[dst..dst + ws.ns].fill(true);
         }
         let failed = ws.band.factor(&mask);
         counters.launches += 1;
         let t_factor_share = t_factor.elapsed().as_secs_f64() / live.len() as f64;
-        for &k in &live {
+        let factored = live.len();
+        live.retain(|&k| {
             let lane = &mut lanes[k];
             lane.stats.t_factor += t_factor_share;
             // First failing species block in block order — the same error
             // `BlockBandSolver::factor` reports.
-            for a in 0..ws.ns {
-                if let Some(row) = failed[cpos[k] + a] {
-                    lane.failure = Some(SolveError::SingularJacobian { block: a, row });
-                    lane.done = true;
-                    counters.retired += 1;
-                    for b in 0..ws.ns {
-                        mask[cpos[k] + b] = false;
-                    }
-                    break;
-                }
+            let singular = (0..ws.ns).find_map(|a| failed[cpos[k] + a].map(|row| (a, row)));
+            if let Some((block, row)) = singular {
+                lane.fail(SolveError::SingularJacobian { block, row });
+                mask[cpos[k]..cpos[k] + ws.ns].fill(false);
             }
-        }
+            singular.is_none()
+        });
+        counters.retired += (factored - live.len()) as u64;
         drop(sp_f);
         drop(sp_bf);
-        let live: Vec<usize> = (0..lanes.len()).filter(|&k| !lanes[k].done).collect();
         if live.is_empty() {
             continue;
         }
@@ -536,73 +394,47 @@ pub(crate) fn fused_macro_step(
         drop(sp_s);
         drop(sp_bs);
         for &k in &live {
-            let lane = &mut lanes[k];
+            let (v, lane) = (lockstep[k], &mut lanes[k]);
             lane.stats.t_solve += t_solve_share;
+            let d = &mut ws.d;
             for a in 0..ws.ns {
                 let m = cpos[k] + a;
                 for i in 0..ws.n {
-                    lane.d[a * ws.n + ws.perm[i]] = ws.x_soa[i * ws.n_lanes + m];
+                    d[a * ws.n + ws.perm[i]] = ws.x_soa[i * ws.n_lanes + m];
                 }
             }
             // Fused-only solve site: corrupt the Newton update before the
             // finiteness guard, so an injected NaN is attributed as a
             // NonFinite solution and routed through recovery like any
             // hardware-corrupted triangular solve would be.
-            if let Some(f) = steppers[lane.v]
+            if let Some(f) = steppers[v]
                 .ti
                 .op
                 .device
-                .poll_fault(SITE_BATCHED_SOLVE, lane.d.len())
+                .poll_fault(SITE_BATCHED_SOLVE, d.len())
             {
-                f.apply(&mut lane.d);
+                f.apply(d);
             }
-            if !all_finite(&lane.d) {
-                lane.failure = Some(SolveError::NonFinite {
+            if !all_finite(d) {
+                lane.fail(SolveError::NonFinite {
                     site: NonFiniteSite::Solution,
                 });
-                lane.done = true;
                 counters.retired += 1;
                 continue;
             }
-            vecops::axpy(-1.0, &lane.d, &mut states[lane.v]);
+            vecops::axpy(-1.0, d, &mut states[v]);
             lane.stats.newton_iters += 1;
         }
     }
     drop(sp_step);
 
-    // Per-lane epilogue: monitor check, transactional restore, and the
-    // `AdaptiveStepper` success/recovery routing of the host fast path.
-    for lane in lanes {
-        let v = lane.v;
+    // Per-lane epilogue: the lane closes its step (monitor check,
+    // transactional restore), then the `AdaptiveStepper` success/recovery
+    // routing of its fast path.
+    for (v, lane) in lockstep.into_iter().zip(lanes) {
         let st = &mut steppers[v];
         let state = &mut states[v];
-        let mut stats = lane.stats;
-        let mut failure = lane.failure;
-        if failure.is_none() && stats.converged {
-            if let Some(mut mon) = st.ti.monitor.take() {
-                let checked = mon.after_step(
-                    &st.ti.op,
-                    &st.ti.moments,
-                    &StepContext {
-                        f_old: &lane.fn_old,
-                        f_new: state,
-                        dt,
-                        theta: lane.theta,
-                        e_field,
-                        source: None,
-                        residual: &lane.r,
-                    },
-                );
-                st.ti.monitor = Some(mon);
-                if let Err(e) = checked {
-                    failure = Some(e);
-                }
-            }
-        }
-        if failure.is_some() && !lane.fn_old.is_empty() {
-            state.copy_from_slice(&lane.fn_old);
-        }
-        stats.t_total = lane.t_start.elapsed().as_secs_f64();
+        let (stats, failure) = lane.finish(&mut st.ti, state, e_field, None);
         outcomes[v] = Some(match failure {
             None => {
                 st.note_success(stats.newton_iters);

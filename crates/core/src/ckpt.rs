@@ -27,6 +27,7 @@
 //! the directory. [`FaultyStorage`] injects deterministic storage faults
 //! (torn/short writes, bit flips, ENOSPC, latency) for resilience tests.
 
+use crate::recover::StepperCkpt;
 use landau_obs::MetricRegistry;
 use landau_vgpu::fault::{FaultCursor, FaultKind, FaultPlan, FaultSpec};
 use std::collections::BTreeMap;
@@ -867,6 +868,86 @@ impl PolicyCursor {
     }
 }
 
+/// The checkpoint plumbing a driver holds: a generational store, the
+/// trigger policy and its cursor. Off until [`Self::enable`]; the quench
+/// driver and the batched advance differ only in the payload they hand it.
+#[derive(Default)]
+pub struct CkptHook {
+    store: Option<CheckpointStore>,
+    policy: CheckpointPolicy,
+    cursor: PolicyCursor,
+}
+
+impl CkptHook {
+    /// Checkpoint through `storage` whenever `policy` comes due, keeping
+    /// the newest `keep >= 2` generations; `ckpt.*` counters publish into
+    /// `registry`.
+    pub fn enable(
+        &mut self,
+        storage: Box<dyn Storage>,
+        keep: usize,
+        policy: CheckpointPolicy,
+        registry: Arc<MetricRegistry>,
+    ) {
+        *self = CkptHook {
+            store: Some(CheckpointStore::new(storage, keep).with_registry(registry)),
+            policy,
+            cursor: PolicyCursor::new(),
+        };
+    }
+
+    fn store(&mut self, op: &'static str) -> Result<&mut CheckpointStore, CkptError> {
+        self.store.as_mut().ok_or_else(|| CkptError::Io {
+            op,
+            detail: "checkpointing not enabled".into(),
+        })
+    }
+
+    /// Cut a generation holding `payload` now, whatever the policy says.
+    pub fn save(&mut self, payload: &[u8]) -> Result<u64, CkptError> {
+        self.store("save")?.save(payload)
+    }
+
+    /// Whether the policy wants a checkpoint after `step` completed steps
+    /// (never, while off); arms the cursor forward when it does.
+    pub fn due(&mut self, step: u64, phase_change: bool) -> bool {
+        self.store.is_some() && self.cursor.due(&self.policy, step, phase_change)
+    }
+
+    /// Hand the newest good generation's payload to `restore`, which
+    /// returns the step count the run resumed at; the policy then counts
+    /// from there. `Ok(false)` when no checkpoint exists (fresh start).
+    pub fn resume(
+        &mut self,
+        restore: impl FnOnce(&[u8]) -> Result<u64, CkptError>,
+    ) -> Result<bool, CkptError> {
+        let Some(loaded) = self.store("load")?.load_latest()? else {
+            return Ok(false);
+        };
+        let step = restore(&loaded.payload)?;
+        self.cursor.rebase(step);
+        Ok(true)
+    }
+}
+
+/// Serialize an [`AdaptiveStepper`](crate::recover::AdaptiveStepper)
+/// policy snapshot: `dt_scale`, easy streak, last-good state — the order
+/// both checkpoint payloads have always carried it in.
+pub fn encode_stepper_ckpt(w: &mut ByteWriter, sc: &StepperCkpt) {
+    w.put_f64(sc.dt_scale);
+    w.put_u64(sc.easy_streak);
+    w.put_f64_slice(&sc.checkpoint);
+}
+
+/// Inverse of [`encode_stepper_ckpt`].
+pub fn decode_stepper_ckpt(r: &mut ByteReader<'_>) -> Result<StepperCkpt, CkptError> {
+    Ok(StepperCkpt {
+        dt_scale: r.get_f64()?,
+        easy_streak: r.get_u64()?,
+        checkpoint: r.get_f64_vec()?,
+    })
+}
+
 /// Serialize a [`FaultCursor`] (plan, armed flag, per-site tallies) so a
 /// resumed run replays the remaining fault schedule identically. Shared by
 /// the quench driver's and the batched advance's checkpoint encoders.
@@ -1056,5 +1137,65 @@ mod tests {
         assert!(!cur.due(&p, 6, false));
         let never = CheckpointPolicy::never();
         assert!(!cur.due(&never, 1000, false));
+    }
+
+    #[test]
+    fn stepper_ckpt_wire_order_is_dt_scale_streak_state() {
+        // The field order both payloads carried before the codec was
+        // shared: a frame cut by an older build must still load.
+        let state = [1.5, -0.0, f64::NAN, f64::MIN_POSITIVE];
+        let mut w = ByteWriter::new();
+        w.put_f64(0.125);
+        w.put_u64(2);
+        w.put_f64_slice(&state);
+        let wire = w.into_bytes();
+
+        let mut r = ByteReader::new(&wire);
+        let sc = decode_stepper_ckpt(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!((sc.dt_scale, sc.easy_streak), (0.125, 2));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sc.checkpoint), bits(&state));
+
+        let mut back = ByteWriter::new();
+        encode_stepper_ckpt(&mut back, &sc);
+        assert_eq!(back.into_bytes(), wire);
+    }
+
+    #[test]
+    fn hook_is_off_until_enabled_and_counts_from_the_resumed_step() {
+        let mut hook = CkptHook::default();
+        assert!(!hook.due(1_000, true), "an idle hook is never due");
+        assert!(matches!(
+            hook.save(b"x"),
+            Err(CkptError::Io { op: "save", .. })
+        ));
+        assert!(matches!(
+            hook.resume(|_| Ok(0)),
+            Err(CkptError::Io { op: "load", .. })
+        ));
+
+        let mem = MemStorage::new();
+        let registry = Arc::new(MetricRegistry::new());
+        let policy = CheckpointPolicy::every_steps(4);
+        hook.enable(Box::new(mem.clone()), 2, policy, Arc::clone(&registry));
+        assert!(!hook.resume(|_| Ok(0)).unwrap(), "empty store: fresh start");
+        hook.save(b"at step 10").unwrap();
+
+        let mut resumed = CkptHook::default();
+        resumed.enable(Box::new(mem), 2, policy, registry);
+        let mut seen = Vec::new();
+        let restored = resumed.resume(|payload| {
+            seen = payload.to_vec();
+            Ok(10)
+        });
+        assert!(restored.unwrap());
+        assert_eq!(seen, b"at step 10");
+        // The policy counts from the step the run resumed at, not from 0.
+        assert!(!resumed.due(13, false));
+        assert!(resumed.due(14, false));
+        // A payload the owner rejects surfaces, and is not a resume.
+        let rejected = resumed.resume(|_| Err(corrupt("bad payload")));
+        assert!(matches!(rejected, Err(CkptError::Corrupt { .. })));
     }
 }

@@ -423,50 +423,21 @@ pub fn inner_integral_cpu_cached(
 /// element as in [`inner_integral_cuda_model`], but the x lanes stride over
 /// field-element *tiles* instead of points, each lane streaming whole tiles
 /// from the table with register partials combined by the warp-shuffle
-/// butterfly.
+/// butterfly. The one-lane launch of
+/// [`inner_integral_batched_cuda_cached`].
 pub fn inner_integral_cuda_model_cached(
     ip: &IpData,
     species: &SpeciesList,
     dim_x: usize,
     table: &TensorTable,
 ) -> (IpCoeffs, Tally) {
-    let _sp = landau_obs::span(landau_obs::names::INNER_INTEGRAL);
-    debug_assert!(table.matches(ip), "table geometry must match the ipdata");
-    let fk = species.k_field_factors();
-    let fd = species.d_field_factors();
-    let nq = ip.nq;
-    let ne = ip.n / nq;
-    let stream = CachedStream {
+    one_lane(inner_integral_batched_cuda_cached(
+        &[ip],
+        &[true],
+        species,
+        dim_x,
         table,
-        ip,
-        fk: &fk,
-        fd: &fd,
-    };
-    let mut out = IpCoeffs::zeros(ip.n);
-    let tally: Tally = out
-        .gk
-        .par_chunks_mut(nq)
-        .zip(out.gd.par_chunks_mut(nq))
-        .enumerate()
-        .map(|(e, (gke, gde))| {
-            let mut t = Tally::new();
-            // The block still prefetches the packed field stream once per
-            // element for the species staging.
-            t.dram_read += ip.stream_bytes();
-            t.shared_bytes += ip.stream_bytes();
-            let (mut sums, mut tile_buf) = (vec![0.0f64; 3 * ip.n], table.tile_buf());
-            for iq in 0..nq {
-                let gi = e * nq + iq;
-                let acc: [f64; 5] = cuda_strided_reduce(dim_x, ne, &mut t, |je, a| {
-                    stream.accumulate(gi, je, &mut sums, &mut tile_buf, a);
-                });
-                gke[iq] = [acc[0], acc[1]];
-                gde[iq] = [acc[2], acc[3], acc[4]];
-            }
-            t
-        })
-        .reduce(Tally::new, |a, b| a + b);
-    (out, tally + table.stream_tally(ip.ns, false))
+    ))
 }
 
 /// Cached inner integral in the Kokkos model: league member per element,
@@ -474,7 +445,8 @@ pub fn inner_integral_cuda_model_cached(
 /// `parallel_reduce` over a `ThreadVectorRange(0, N_e)`. Generic over the
 /// [`TeamFactory`] so the checked members can run it too. Unlike the
 /// uncached kernel no coordinate staging is needed — the table already
-/// encodes the test-point geometry.
+/// encodes the test-point geometry. The one-lane launch of
+/// [`inner_integral_batched_kokkos_cached`].
 pub fn inner_integral_kokkos_cached<F: TeamFactory>(
     ip: &IpData,
     species: &SpeciesList,
@@ -482,47 +454,19 @@ pub fn inner_integral_kokkos_cached<F: TeamFactory>(
     table: &TensorTable,
     factory: &F,
 ) -> (IpCoeffs, Tally) {
-    let _sp = landau_obs::span(landau_obs::names::INNER_INTEGRAL);
-    debug_assert!(table.matches(ip), "table geometry must match the ipdata");
-    let fk = species.k_field_factors();
-    let fd = species.d_field_factors();
-    let nq = ip.nq;
-    let ne = ip.n / nq;
-    let policy = TeamPolicy {
-        league_size: ne,
-        team_size: nq,
+    one_lane(inner_integral_batched_kokkos_cached(
+        &[ip],
+        &[true],
+        species,
         vector_length,
-    };
-    let stream = CachedStream {
         table,
-        ip,
-        fk: &fk,
-        fd: &fd,
-    };
-    let mut out = IpCoeffs::zeros(ip.n);
-    let tally: Tally = out
-        .gk
-        .par_chunks_mut(nq)
-        .zip(out.gd.par_chunks_mut(nq))
-        .enumerate()
-        .map(|(e, (gke, gde))| {
-            let mut t = Tally::new();
-            t.dram_read += ip.stream_bytes();
-            let (mut sums, mut tile_buf) = (vec![0.0f64; 3 * ip.n], table.tile_buf());
-            let mut member = factory.member(e, policy, &mut t);
-            for iq in member.team_range() {
-                let gi = e * nq + iq;
-                let acc: [f64; 5] = member.vector_reduce(ne, |je, a: &mut [f64; 5]| {
-                    stream.accumulate(gi, je, &mut sums, &mut tile_buf, a);
-                });
-                gke[iq] = [acc[0], acc[1]];
-                gde[iq] = [acc[2], acc[3], acc[4]];
-            }
-            drop(member);
-            t
-        })
-        .reduce(Tally::new, |a, b| a + b);
-    (out, tally + table.stream_tally(ip.ns, false))
+        factory,
+    ))
+}
+
+/// The only lane's result of a one-lane batched launch.
+fn one_lane((mut coeffs, tallies): (Vec<IpCoeffs>, Vec<Tally>)) -> (IpCoeffs, Tally) {
+    (coeffs.swap_remove(0), tallies[0])
 }
 
 /// One flattened block of a batched launch: `(lane, element)` plus the
@@ -580,7 +524,7 @@ fn batch_tallies(
 
 /// Batched cached inner integral, plain CPU style: *one* fused sweep over
 /// the shared [`TensorTable`] with lanes in the innermost (unit-stride)
-/// dimension, processed in [`LANE_BLOCK`]-wide cache blocks. Each tile is
+/// dimension, processed in `LANE_BLOCK`-wide cache blocks. Each tile is
 /// read once per block and broadcast across lanes; every lane's species
 /// sums come from the same [`CachedStream::stage`] call the solo kernel
 /// makes, transposed to lane-minor.
@@ -697,9 +641,10 @@ pub fn inner_integral_batched_cpu_cached(
 }
 
 /// Batched cached inner integral in the CUDA programming model: one grid
-/// whose blocks index (lane, element) pairs, each block identical to an
-/// [`inner_integral_cuda_model_cached`] block of its lane — x lanes stride
-/// field-element tiles, register partials joined by the shuffle butterfly.
+/// whose blocks index (lane, element) pairs; within a block the x lanes
+/// stride its lane's field-element tiles, register partials joined by the
+/// shuffle butterfly. [`inner_integral_cuda_model_cached`] is this launch
+/// with one lane.
 pub fn inner_integral_batched_cuda_cached(
     ips: &[&IpData],
     active: &[bool],

@@ -23,16 +23,18 @@
 //!   functionals (the conserved quantities of the discretization);
 //! * [`solver`] — implicit time integration (backward Euler / θ-method)
 //!   with the paper's quasi-Newton iteration and banded-LU direct solves,
-//!   transactional (`try_step`) with a typed failure taxonomy;
+//!   transactional (`try_step`) with a typed failure taxonomy; its
+//!   `NewtonLane` is the one copy of the iteration's guard ladder, driven
+//!   by the solo step and by every vertex of the fused batch;
 //! * [`recover`] — the adaptive recovery policy over the transactional
 //!   step: damped retries, Δt halving with a bounded budget, and Δt
 //!   re-growth after the stiff phase passes;
-//! * [`multigrid`] — grid-per-species-group configurations (§III-H) with
-//!   cross-grid collisions and conservation;
 //! * [`batch`] — batched multi-vertex collision advance (the conclusion's
-//!   proposed batching over spatial points);
-//! * [`three_d`] — the full 3D Cartesian operator path the paper's library
-//!   supports (eq. 3 tensor, GMRES-based implicit advance).
+//!   proposed batching over spatial points) as fused lockstep launches;
+//! * [`ckpt`] — durable checkpoint/restart: checksummed frames, the
+//!   generational store and the policy hook the drivers hold;
+//! * [`invariants`] — the conservation/entropy monitor and its watchdog;
+//! * [`registry`] — the kernel registry the static verifier proves.
 
 pub mod batch;
 pub(crate) mod batch_fused;
@@ -41,7 +43,6 @@ pub mod invariants;
 pub mod ipdata;
 pub mod kernels;
 pub mod moments;
-pub mod multigrid;
 pub mod operator;
 pub mod recover;
 pub mod registry;
@@ -49,7 +50,6 @@ pub mod solver;
 pub mod species;
 pub mod tensor;
 pub mod tensor_cache;
-pub mod three_d;
 
 pub use landau_vgpu::fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault};
 
@@ -62,7 +62,7 @@ pub mod fault_sites {
         SITE_LU_FACTOR,
     };
 }
-pub use batch::{BatchMode, BatchStats, BatchedAdvance, LaneMode, VertexStats};
+pub use batch::{BatchStats, BatchedAdvance, LaneMode, VertexStats};
 pub use ckpt::{
     CheckpointPolicy, CheckpointStore, CkptError, DirStorage, FaultyStorage, MemStorage, Storage,
     StorageFault, StorageFaultKind,

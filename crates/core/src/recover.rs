@@ -274,9 +274,8 @@ impl AdaptiveStepper {
 
     /// Cover `dt` in substeps of `dt_scale · dt`, halving further on
     /// failure (with a damped retry at each new scale) until the budget
-    /// or the floor runs out. `pub(crate)` for the fused batch
-    /// orchestrator's per-lane `dt_scale < 1` path.
-    pub(crate) fn advance_subdivided(
+    /// or the floor runs out.
+    fn advance_subdivided(
         &mut self,
         state: &mut [f64],
         dt: f64,
@@ -294,11 +293,18 @@ impl AdaptiveStepper {
             substeps: 0,
             dt_fraction_min: f64::INFINITY,
         };
-        let mut elapsed = 0.0_f64;
-        // `elapsed` accumulates substep sizes exactly; the final substep
-        // is clipped to land on `dt`.
-        while elapsed < dt {
-            let h = (dt * self.dt_scale).min(dt - elapsed);
+        // The interval is covered in fractions of `dt`, not in seconds:
+        // `dt_scale` only ever halves and doubles from 1, so `covered` sums
+        // exactly, where a sum of `dt·dt_scale` products would round and
+        // leave a sliver of a few ulps for one more full Newton solve. The
+        // last substep takes whatever is left (a scale that overshoots is
+        // clipped; a non-dyadic floor's rounding remainder is absorbed).
+        let mut covered = 0.0_f64;
+        while covered < 1.0 {
+            let left = 1.0 - covered;
+            let last = left - self.dt_scale <= 4.0 * f64::EPSILON;
+            let frac = if last { left } else { self.dt_scale };
+            let h = dt * frac;
             let attempt = if attempts > 0 && self.cfg.backtracks > 0 {
                 // Once in recovery, keep damping armed: it only alters
                 // iterations that fail to contract at λ = 1.
@@ -311,8 +317,8 @@ impl AdaptiveStepper {
                 Ok(stats) => {
                     total.merge(&stats);
                     rec.substeps += 1;
-                    rec.dt_fraction_min = rec.dt_fraction_min.min(h / dt);
-                    elapsed += h;
+                    rec.dt_fraction_min = rec.dt_fraction_min.min(frac);
+                    covered = if last { 1.0 } else { covered + frac };
                     self.note_success(stats.newton_iters);
                 }
                 Err(e) => {

@@ -165,7 +165,7 @@ impl std::error::Error for SolveError {}
 /// Residual-reduction factor below which an iteration counts as "no
 /// progress" for stall detection (a converging quasi-Newton iteration
 /// contracts far faster than this every iteration).
-pub(crate) const STALL_REDUCTION: f64 = 0.999;
+const STALL_REDUCTION: f64 = 0.999;
 
 pub(crate) fn all_finite(v: &[f64]) -> bool {
     v.iter().all(|x| x.is_finite())
@@ -499,10 +499,12 @@ impl TimeIntegrator {
         }
     }
 
-    /// The guarded Newton loop behind [`Self::step`] / [`Self::try_step`].
-    /// Always fills `StepStats`; on failure restores `state` to `f^n` and
-    /// returns the error alongside. With `backtracks == 0` the arithmetic
-    /// on the success path is identical to the historical `step`.
+    /// The guarded Newton loop behind [`Self::step`] / [`Self::try_step`]:
+    /// one [`NewtonLane`] driven through the persistent
+    /// [`BlockBandSolver`]. Always fills `StepStats`; on failure restores
+    /// `state` to `f^n` and returns the error alongside. With
+    /// `backtracks == 0` the arithmetic on the success path is identical to
+    /// the historical `step`.
     fn step_guarded(
         &mut self,
         state: &mut [f64],
@@ -512,47 +514,11 @@ impl TimeIntegrator {
         backtracks: usize,
     ) -> (StepStats, Option<SolveError>) {
         let _sp = landau_obs::span(landau_obs::names::STEP);
-        let t_start = Instant::now();
-        let theta = self.method.theta();
         let n_total = self.op.n_total();
         assert_eq!(state.len(), n_total);
-        let mut stats = StepStats {
-            converged: false,
-            ..Default::default()
-        };
-        if !all_finite(state) {
-            stats.t_total = t_start.elapsed().as_secs_f64();
-            return (
-                stats,
-                Some(SolveError::NonFinite {
-                    site: NonFiniteSite::State,
-                }),
-            );
-        }
-        let fn_old = state.to_vec();
-
-        // Explicit part for θ < 1: rhs_old = L(f^n) f^n + M s.
-        let rhs_old: Option<Vec<f64>> = if theta < 1.0 {
-            let t0 = Instant::now();
-            let mut r = self.op.collision_rhs(&fn_old, e_field);
-            stats.t_landau += t0.elapsed().as_secs_f64();
-            if let Some(s) = source {
-                let n = self.op.n();
-                for a in 0..self.op.species.len() {
-                    let ms = self.op.mass.matvec(&s[a * n..(a + 1) * n]);
-                    for i in 0..n {
-                        r[a * n + i] += ms[i];
-                    }
-                }
-            }
-            Some(r)
-        } else {
-            None
-        };
-
-        let mut r = vec![0.0; n_total];
-        // Taken for the step (like the monitor below) so `&self` helpers
-        // can fill it; every exit from here on passes the restore at the end.
+        let mut lane = NewtonLane::begin(self, state, dt, e_field, source);
+        // Taken for the step so `&self` helpers can fill it; restored
+        // before the lane finishes.
         let mut scratch = std::mem::take(&mut self.scratch);
         let NewtonScratch {
             residual: res_scratch,
@@ -561,64 +527,17 @@ impl TimeIntegrator {
         } = &mut scratch;
         delta.resize(n_total, 0.0);
         d.resize(n_total, 0.0);
-        let mut r0_norm = None;
-        let mut prev_rnorm = f64::INFINITY;
-        let mut stall = 0usize;
-        let mut failure = None;
-        for _it in 0..self.max_newton {
+        while lane.enter(self.max_newton) {
             let _sp_iter = landau_obs::span(landau_obs::names::NEWTON_ITER);
             // Assemble L(f_k) — recomputed every iteration (quasi-Newton).
             let t0 = Instant::now();
             let assembled = self.op.assemble(state, e_field);
-            stats.t_landau += t0.elapsed().as_secs_f64();
+            lane.stats.t_landau += t0.elapsed().as_secs_f64();
 
-            let sp_res = landau_obs::span(landau_obs::names::RESIDUAL);
-            self.residual(
-                &assembled.mats,
-                state,
-                &fn_old,
-                source,
-                rhs_old.as_deref(),
-                dt,
-                theta,
-                &mut r,
-                res_scratch,
-            );
-            let rnorm = vecops::norm2(&r);
-            drop(sp_res);
-            stats.residual = rnorm;
-            if !rnorm.is_finite() {
-                failure = Some(SolveError::NonFinite {
-                    site: NonFiniteSite::Residual,
-                });
+            let rnorm = lane.residual_norm(self, &assembled.mats, state, source, res_scratch);
+            if !lane.judge(self, rnorm) {
                 break;
             }
-            let r0 = *r0_norm.get_or_insert(rnorm);
-            if rnorm <= self.atol + self.rtol * r0 {
-                stats.converged = true;
-                break;
-            }
-            if rnorm > self.divergence_ratio * r0 {
-                failure = Some(SolveError::NewtonDiverged {
-                    iters: stats.newton_iters,
-                    r0,
-                    r_final: rnorm,
-                });
-                break;
-            }
-            if rnorm >= STALL_REDUCTION * prev_rnorm {
-                stall += 1;
-                if stall >= self.stall_window {
-                    failure = Some(SolveError::NewtonStalled {
-                        iters: stats.newton_iters,
-                        r_final: rnorm,
-                    });
-                    break;
-                }
-            } else {
-                stall = 0;
-            }
-            prev_rnorm = rnorm;
 
             // J = M − Δt θ L(f_k), written over the previous iteration's
             // factors; factor per species block in parallel.
@@ -628,7 +547,7 @@ impl TimeIntegrator {
             let solver = self
                 .solver
                 .get_or_insert_with(|| BlockBandSolver::from_map(map, assembled.mats.len()));
-            let neg_gamma = -(dt * theta);
+            let neg_gamma = -(dt * lane.theta);
             solver.refill(map, |a, o| {
                 mass.vals[o] + neg_gamma * assembled.mats[a].vals[o]
             });
@@ -640,24 +559,24 @@ impl TimeIntegrator {
                 }
             }
             let factored = solver.factor();
-            stats.t_factor += t1.elapsed().as_secs_f64();
+            lane.stats.t_factor += t1.elapsed().as_secs_f64();
             drop(sp_factor);
             if let Err((block, row)) = factored {
-                failure = Some(SolveError::SingularJacobian { block, row });
+                lane.fail(SolveError::SingularJacobian { block, row });
                 break;
             }
 
             let sp_solve = landau_obs::span(landau_obs::names::SOLVE);
             let t2 = Instant::now();
-            permute_into(&self.perm, &r, delta);
+            permute_into(&self.perm, &lane.r, delta);
             solver.solve_into(delta);
-            stats.t_solve += t2.elapsed().as_secs_f64();
+            lane.stats.t_solve += t2.elapsed().as_secs_f64();
             drop(sp_solve);
 
             // f ← f − λ J⁻¹ R.
             unpermute_into(&self.perm, delta, d);
             if !all_finite(d) {
-                failure = Some(SolveError::NonFinite {
+                lane.fail(SolveError::NonFinite {
                     site: NonFiniteSite::Solution,
                 });
                 break;
@@ -677,15 +596,15 @@ impl TimeIntegrator {
                     if all_finite(&cand) {
                         let t0 = Instant::now();
                         let trial = self.op.assemble(&cand, e_field);
-                        stats.t_landau += t0.elapsed().as_secs_f64();
+                        lane.stats.t_landau += t0.elapsed().as_secs_f64();
                         self.residual(
                             &trial.mats,
                             &cand,
-                            &fn_old,
+                            &lane.fn_old,
                             source,
-                            rhs_old.as_deref(),
+                            lane.rhs_old.as_deref(),
                             dt,
-                            theta,
+                            lane.theta,
                             &mut rt,
                             res_scratch,
                         );
@@ -700,59 +619,10 @@ impl TimeIntegrator {
                 }
             }
             vecops::axpy(-lambda, d, state);
-            stats.newton_iters += 1;
+            lane.stats.newton_iters += 1;
         }
         self.scratch = scratch;
-        if failure.is_none() && !stats.converged {
-            // Newton budget exhausted: classify by whether the residual
-            // ever contracted relative to its starting norm.
-            let r_final = stats.residual;
-            let r0 = r0_norm.unwrap_or(r_final);
-            failure = Some(if r_final >= r0 {
-                SolveError::NewtonDiverged {
-                    iters: stats.newton_iters,
-                    r0,
-                    r_final,
-                }
-            } else {
-                SolveError::NewtonStalled {
-                    iters: stats.newton_iters,
-                    r_final,
-                }
-            });
-        }
-        if failure.is_none() && stats.converged {
-            // Invariant watchdog: read-only over (f^n, f^{n+1}, R), so a
-            // Record-mode monitor leaves the state bitwise untouched; a
-            // Fail-mode violation routes into the transactional restore
-            // below like any other solve failure.
-            if let Some(mut mon) = self.monitor.take() {
-                let checked = mon.after_step(
-                    &self.op,
-                    &self.moments,
-                    &StepContext {
-                        f_old: &fn_old,
-                        f_new: state,
-                        dt,
-                        theta,
-                        e_field,
-                        source,
-                        residual: &r,
-                    },
-                );
-                self.monitor = Some(mon);
-                if let Err(e) = checked {
-                    failure = Some(e);
-                }
-            }
-        }
-        if failure.is_some() {
-            // Transactional guarantee: a failed step leaves state == f^n
-            // bitwise.
-            state.copy_from_slice(&fn_old);
-        }
-        stats.t_total = t_start.elapsed().as_secs_f64();
-        (stats, failure)
+        lane.finish(self, state, e_field, source)
     }
 
     /// Run `nsteps` fixed steps, calling `each` after every step with
@@ -776,6 +646,225 @@ impl TimeIntegrator {
         }
         total.publish(landau_obs::MetricRegistry::global(), "step");
         total
+    }
+}
+
+/// One lane of the guarded quasi-Newton iteration: what the iteration
+/// *decides* — the restore point, the convergence/divergence/stall ladder,
+/// the Newton budget, the monitor check and the rollback — apart from the
+/// linear algebra that advances it. [`TimeIntegrator::step`] drives one
+/// lane through its [`BlockBandSolver`]; the fused batch orchestrator
+/// drives one per vertex through the lane-minor batched band storage.
+///
+/// Protocol: [`Self::begin`], then per iteration [`Self::enter`] →
+/// assemble → [`Self::residual_norm`] → [`Self::judge`] → factor/solve
+/// (with [`Self::fail`] for a zero pivot or a non-finite update) → update,
+/// and [`Self::finish`] once the lane is no longer [`Self::live`].
+pub(crate) struct NewtonLane {
+    /// Entry state `f^n`, the transactional restore point (empty when the
+    /// entry state was non-finite: there is nothing sane to restore).
+    fn_old: Vec<f64>,
+    /// Explicit θ-method part `L(f^n) f^n + M s` (only for θ < 1).
+    rhs_old: Option<Vec<f64>>,
+    /// Residual buffer `R(f_k)`.
+    pub(crate) r: Vec<f64>,
+    dt: f64,
+    pub(crate) theta: f64,
+    r0: Option<f64>,
+    prev_rnorm: f64,
+    stall: usize,
+    /// Loop entries consumed (the Newton budget).
+    entries: usize,
+    pub(crate) stats: StepStats,
+    failure: Option<SolveError>,
+    t_start: Instant,
+}
+
+impl NewtonLane {
+    /// Open a step of `dt` from `state`: guard the entry state, snapshot
+    /// `f^n`, and evaluate the explicit part when θ < 1.
+    pub(crate) fn begin(
+        ti: &mut TimeIntegrator,
+        state: &[f64],
+        dt: f64,
+        e_field: f64,
+        source: Option<&[f64]>,
+    ) -> Self {
+        let theta = ti.method.theta();
+        let mut lane = NewtonLane {
+            fn_old: Vec::new(),
+            rhs_old: None,
+            r: vec![0.0; state.len()],
+            dt,
+            theta,
+            r0: None,
+            prev_rnorm: f64::INFINITY,
+            stall: 0,
+            entries: 0,
+            stats: StepStats::default(),
+            failure: None,
+            t_start: Instant::now(),
+        };
+        if !all_finite(state) {
+            lane.fail(SolveError::NonFinite {
+                site: NonFiniteSite::State,
+            });
+            return lane;
+        }
+        lane.fn_old = state.to_vec();
+        if theta < 1.0 {
+            let t0 = Instant::now();
+            let mut r = ti.op.collision_rhs(&lane.fn_old, e_field);
+            lane.stats.t_landau += t0.elapsed().as_secs_f64();
+            if let Some(s) = source {
+                let n = ti.op.n();
+                for a in 0..ti.op.species.len() {
+                    let ms = ti.op.mass.matvec(&s[a * n..(a + 1) * n]);
+                    for i in 0..n {
+                        r[a * n + i] += ms[i];
+                    }
+                }
+            }
+            lane.rhs_old = Some(r);
+        }
+        lane
+    }
+
+    /// Still iterating: neither converged nor failed.
+    pub(crate) fn live(&self) -> bool {
+        self.failure.is_none() && !self.stats.converged
+    }
+
+    /// Claim the next Newton iteration. False once the lane is retired —
+    /// including by this call, when the budget of `max_newton` entries is
+    /// spent: the lane then fails as diverged if the residual never got
+    /// under its starting norm, as stalled otherwise.
+    pub(crate) fn enter(&mut self, max_newton: usize) -> bool {
+        if !self.live() {
+            return false;
+        }
+        if self.entries >= max_newton {
+            let iters = self.stats.newton_iters;
+            let r_final = self.stats.residual;
+            let r0 = self.r0.unwrap_or(r_final);
+            self.fail(if r_final >= r0 {
+                SolveError::NewtonDiverged { iters, r0, r_final }
+            } else {
+                SolveError::NewtonStalled { iters, r_final }
+            });
+            return false;
+        }
+        self.entries += 1;
+        true
+    }
+
+    /// Evaluate `R(f_k)` into [`Self::r`] and return its norm.
+    pub(crate) fn residual_norm(
+        &mut self,
+        ti: &TimeIntegrator,
+        mats: &[Csr],
+        state: &[f64],
+        source: Option<&[f64]>,
+        scratch: &mut ResidualScratch,
+    ) -> f64 {
+        let _sp = landau_obs::span(landau_obs::names::RESIDUAL);
+        ti.residual(
+            mats,
+            state,
+            &self.fn_old,
+            source,
+            self.rhs_old.as_deref(),
+            self.dt,
+            self.theta,
+            &mut self.r,
+            scratch,
+        );
+        vecops::norm2(&self.r)
+    }
+
+    /// The guard ladder on this iteration's residual norm, in order:
+    /// non-finite, converged, diverged past `divergence_ratio · r0`,
+    /// stalled for `stall_window` iterations. True if the iteration goes on
+    /// to factor and solve; false retires the lane.
+    pub(crate) fn judge(&mut self, ti: &TimeIntegrator, rnorm: f64) -> bool {
+        self.stats.residual = rnorm;
+        if !rnorm.is_finite() {
+            self.fail(SolveError::NonFinite {
+                site: NonFiniteSite::Residual,
+            });
+            return false;
+        }
+        let iters = self.stats.newton_iters;
+        let r0 = *self.r0.get_or_insert(rnorm);
+        if rnorm <= ti.atol + ti.rtol * r0 {
+            self.stats.converged = true;
+            return false;
+        }
+        if rnorm > ti.divergence_ratio * r0 {
+            self.fail(SolveError::NewtonDiverged {
+                iters,
+                r0,
+                r_final: rnorm,
+            });
+            return false;
+        }
+        if rnorm >= STALL_REDUCTION * self.prev_rnorm {
+            self.stall += 1;
+            if self.stall >= ti.stall_window {
+                self.fail(SolveError::NewtonStalled {
+                    iters,
+                    r_final: rnorm,
+                });
+                return false;
+            }
+        } else {
+            self.stall = 0;
+        }
+        self.prev_rnorm = rnorm;
+        true
+    }
+
+    /// Retire the lane with `e`.
+    pub(crate) fn fail(&mut self, e: SolveError) {
+        self.failure = Some(e);
+    }
+
+    /// Close the step: a converged lane passes the invariant watchdog, a
+    /// failed one is rolled back so that `state == f^n` bitwise.
+    pub(crate) fn finish(
+        mut self,
+        ti: &mut TimeIntegrator,
+        state: &mut [f64],
+        e_field: f64,
+        source: Option<&[f64]>,
+    ) -> (StepStats, Option<SolveError>) {
+        if self.failure.is_none() && self.stats.converged {
+            // Read-only over (f^n, f^{n+1}, R), so a Record-mode monitor
+            // leaves the state bitwise untouched; a Fail-mode violation
+            // takes the rollback below like any other failure.
+            if let Some(mut mon) = ti.monitor.take() {
+                let checked = mon.after_step(
+                    &ti.op,
+                    &ti.moments,
+                    &StepContext {
+                        f_old: &self.fn_old,
+                        f_new: state,
+                        dt: self.dt,
+                        theta: self.theta,
+                        e_field,
+                        source,
+                        residual: &self.r,
+                    },
+                );
+                ti.monitor = Some(mon);
+                self.failure = checked.err();
+            }
+        }
+        if self.failure.is_some() && !self.fn_old.is_empty() {
+            state.copy_from_slice(&self.fn_old);
+        }
+        self.stats.t_total = self.t_start.elapsed().as_secs_f64();
+        (self.stats, self.failure)
     }
 }
 
@@ -927,6 +1016,156 @@ mod tests {
             .fold(0.0, f64::max);
         let scale = s1.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(d < 0.05 * scale, "methods diverged: {d} vs {scale}");
+    }
+
+    /// Drive one lane through a script of residual norms, the way both
+    /// steppers drive it, with every iteration nudging the state so that a
+    /// rollback is visible. Returns the lane's verdict and whether `state`
+    /// ended bitwise at `f^n`.
+    fn run_lane(ti: &mut TimeIntegrator, norms: &[f64]) -> (StepStats, Option<SolveError>, bool) {
+        let mut state = ti.op.initial_state();
+        let f_n = state.clone();
+        let mut lane = NewtonLane::begin(ti, &state, 0.1, 0.0, None);
+        let mut script = norms.iter();
+        while lane.enter(ti.max_newton) {
+            let &rnorm = script.next().expect("script shorter than the budget");
+            if !lane.judge(ti, rnorm) {
+                break;
+            }
+            state[0] *= 1.5;
+            lane.stats.newton_iters += 1;
+        }
+        let (stats, failure) = lane.finish(ti, &mut state, 0.0, None);
+        let restored = state
+            .iter()
+            .zip(&f_n)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        (stats, failure, restored)
+    }
+
+    #[test]
+    fn newton_lane_ladder() {
+        use SolveError::*;
+        let mut ti = integrator(1.0);
+        ti.stall_window = 3;
+        let nan = NonFinite {
+            site: NonFiniteSite::Residual,
+        };
+        let diverged = |iters, r_final| NewtonDiverged {
+            iters,
+            r0: 1.0,
+            r_final,
+        };
+        let stalled = |iters, r_final| NewtonStalled { iters, r_final };
+        // (what, Newton budget, residual norms, expected failure)
+        let table: &[(&str, usize, &[f64], Option<SolveError>)] = &[
+            ("converged at iteration 0", 12, &[1e-13], None),
+            ("converged by rtol", 12, &[1.0, 1e-3, 1e-9], None),
+            ("non-finite residual", 12, &[1.0, f64::NAN], Some(nan)),
+            ("infinite residual", 12, &[f64::INFINITY], Some(nan)),
+            // `divergence_ratio · r0` itself is tolerated; past it is not.
+            (
+                "diverged past the ratio",
+                12,
+                &[1.0, 1e4, 1.0001e4],
+                Some(diverged(2, 1.0001e4)),
+            ),
+            // The first norm has nothing to stall against; the third
+            // no-progress norm in a row fills the window of 3.
+            (
+                "stalled exactly at the window",
+                12,
+                &[1.0, 1.0, 0.9995, 0.9999],
+                Some(stalled(3, 0.9999)),
+            ),
+            (
+                "a contraction resets the stall count",
+                12,
+                &[1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 1e-13],
+                None,
+            ),
+            (
+                "budget spent above r0: diverged",
+                2,
+                &[1.0, 2.0],
+                Some(diverged(2, 2.0)),
+            ),
+            (
+                "budget spent at r0: diverged",
+                2,
+                &[1.0, 1.0],
+                Some(diverged(2, 1.0)),
+            ),
+            (
+                "budget spent under r0: stalled",
+                2,
+                &[1.0, 0.5],
+                Some(stalled(2, 0.5)),
+            ),
+        ];
+        for &(what, budget, norms, ref expect) in table {
+            ti.max_newton = budget;
+            let (stats, failure, restored) = run_lane(&mut ti, norms);
+            assert_eq!(&failure, expect, "{what}");
+            assert_eq!(stats.converged, expect.is_none(), "{what}");
+            // A failed lane is back at f^n bitwise; a converged one keeps
+            // its iterate (identical to f^n only if it never moved).
+            let moved = stats.newton_iters > 0;
+            assert_eq!(restored, expect.is_some() || !moved, "{what}");
+        }
+    }
+
+    #[test]
+    fn newton_lane_without_a_finite_entry_state_has_nothing_to_restore() {
+        let mut ti = integrator(1.0);
+        let mut state = ti.op.initial_state();
+        state[3] = f64::NAN;
+        let entry: Vec<u64> = state.iter().map(|x| x.to_bits()).collect();
+        let mut lane = NewtonLane::begin(&mut ti, &state, 0.1, 0.0, None);
+        assert!(!lane.live());
+        assert!(!lane.enter(ti.max_newton), "a failed lane claims nothing");
+        assert!(lane.fn_old.is_empty(), "no restore point was taken");
+        let (stats, failure) = lane.finish(&mut ti, &mut state, 0.0, None);
+        assert_eq!(
+            failure,
+            Some(SolveError::NonFinite {
+                site: NonFiniteSite::State
+            })
+        );
+        assert!(!stats.converged);
+        let after: Vec<u64> = state.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(after, entry, "the caller's state is left as it came");
+    }
+
+    #[test]
+    fn newton_lane_monitor_violation_rolls_back_bitwise() {
+        let mut ti = integrator(1.0);
+        ti.enable_monitoring(Watchdog::failing());
+        let mut state = ti.op.initial_state();
+        let f_n = state.clone();
+        let mut lane = NewtonLane::begin(&mut ti, &state, 0.1, 0.0, None);
+        assert!(lane.enter(ti.max_newton));
+        // A "converged" iterate that lost a third of its electrons.
+        let n = ti.op.n();
+        for x in &mut state[..n] {
+            *x *= 2.0 / 3.0;
+        }
+        assert!(!lane.judge(&ti, 1e-13));
+        let (stats, failure) = lane.finish(&mut ti, &mut state, 0.0, None);
+        assert!(stats.converged, "the Newton iteration itself converged");
+        assert!(
+            matches!(
+                failure,
+                Some(SolveError::InvariantViolated {
+                    which: crate::invariants::Invariant::Mass,
+                    ..
+                })
+            ),
+            "{failure:?}"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&state), bits(&f_n));
+        assert!(ti.monitor.is_some(), "the monitor is handed back");
     }
 
     #[test]

@@ -237,6 +237,31 @@ fn recovery_budget_exhaustion_is_structured() {
 }
 
 #[test]
+fn subdivided_advance_takes_no_sliver_substep() {
+    // Eight substeps of `dt/8` cover `dt` exactly. Summed in seconds they
+    // fell a few ulps short, and a ninth "substep" of `1e-16 · dt` ran a
+    // full solve and reported its size as the smallest fraction used.
+    for dt in [0.05, 0.3, 0.4, 0.7] {
+        let mut stepper = AdaptiveStepper::with_config(
+            make_ti(),
+            RecoveryConfig {
+                // Keep the scale where the test put it.
+                growth_streak: usize::MAX,
+                ..Default::default()
+            },
+        );
+        stepper.dt_scale = 0.125;
+        let mut state = stepper.ti.op.initial_state();
+        let (stats, rec) = stepper
+            .advance(&mut state, dt, 0.0, None)
+            .expect("a healthy subdivided advance");
+        assert!(stats.converged);
+        assert_eq!(rec.substeps, 8, "dt = {dt}: {rec:?}");
+        assert_eq!(rec.dt_fraction_min, 0.125, "dt = {dt}: {rec:?}");
+    }
+}
+
+#[test]
 fn theta_checked_validates_range() {
     assert!(ThetaMethod::theta_checked(0.5).is_ok());
     assert!(ThetaMethod::theta_checked(1.0).is_ok());

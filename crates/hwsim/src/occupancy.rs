@@ -1,6 +1,6 @@
 //! Occupancy accounting for fused batched launches.
 //!
-//! The fused batched pipeline (landau-core's `BatchMode::Fused`) turns N
+//! The fused batched pipeline (landau-core's `BatchedAdvance::advance`) turns N
 //! per-vertex kernel launches into one grid launch whose blocks are
 //! (lane, element) pairs. On a real device that changes two things the
 //! throughput model must account for:

@@ -2,7 +2,7 @@
 //!
 //! Three pieces, designed to be cheap enough to leave on for every run:
 //!
-//! - **Spans** ([`span`], [`span!`]): hierarchical wall-clock timing. A
+//! - **Spans** ([`span()`], [`span!`]): hierarchical wall-clock timing. A
 //!   span guard opened inside another span becomes its child; each thread
 //!   records into a private arena (no locks on the hot path) and merges
 //!   into the global accumulator only when its outermost span closes.
@@ -103,8 +103,6 @@ pub mod names {
     pub const ADAPTIVE_ADVANCE: &str = "adaptive_advance";
     /// One batched multi-vertex advance (calling thread).
     pub const BATCH_ADVANCE: &str = "batched_advance";
-    /// One vertex's advance inside a batch (worker threads).
-    pub const VERTEX_ADVANCE: &str = "vertex_advance";
     /// One fused (all-lanes) batched Jacobian-kernel launch.
     pub const BATCH_KERNEL: &str = "batched_kernel";
     /// One fused batched banded-LU factorization over the lane SoA.

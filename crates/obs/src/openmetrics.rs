@@ -3,7 +3,8 @@
 //! [`render`] turns one snapshot into a self-contained OpenMetrics
 //! exposition: counters (`_total`), gauges, and histograms with
 //! cumulative `le` buckets at the log₂ bucket upper edges plus derived
-//! `_p50`/`_p99` gauges from [`HistogramSnapshot::quantiles`]. Because
+//! `_p50`/`_p99` gauges from
+//! [`HistogramSnapshot::quantiles`](crate::HistogramSnapshot::quantiles). Because
 //! everything is computed from a single snapshot, the exposition is
 //! internally consistent — the quantiles describe exactly the buckets
 //! printed next to them, even while the live registry keeps moving.

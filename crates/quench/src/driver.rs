@@ -13,14 +13,12 @@
 use crate::diagnostics::{directed_tail_flux, TailDiagnostics};
 use crate::spitzer::{connor_hastie_ec, spitzer_eta};
 use landau_core::ckpt::{
-    decode_fault_cursor, encode_fault_cursor, ByteReader, ByteWriter, CheckpointPolicy,
-    CheckpointStore, CkptError, PolicyCursor, Storage,
+    decode_fault_cursor, decode_stepper_ckpt, encode_fault_cursor, encode_stepper_ckpt, ByteReader,
+    ByteWriter, CheckpointPolicy, CkptError, CkptHook, Storage,
 };
 use landau_core::invariants::{ConservationMonitor, Watchdog};
 use landau_core::operator::{Backend, LandauOperator};
-use landau_core::recover::{
-    AdaptiveStepper, RecoveryConfig, RecoveryFailure, RecoveryStats, StepperCkpt,
-};
+use landau_core::recover::{AdaptiveStepper, RecoveryConfig, RecoveryFailure, RecoveryStats};
 use landau_core::solver::{StepStats, ThetaMethod, TimeIntegrator};
 use landau_core::species::{maxwellian, Species, SpeciesList};
 use landau_fem::FemSpace;
@@ -208,13 +206,6 @@ impl Progress {
     }
 }
 
-/// Checkpointing hook: a generational store plus the trigger policy.
-struct CkptHook {
-    store: CheckpointStore,
-    policy: CheckpointPolicy,
-    cursor: PolicyCursor,
-}
-
 /// The quench experiment driver.
 pub struct QuenchDriver {
     /// Configuration used.
@@ -245,7 +236,7 @@ pub struct QuenchDriver {
     time: f64,
     rec_steps: u64,
     progress: Progress,
-    ckpt: Option<CkptHook>,
+    ckpt: CkptHook,
 }
 
 impl QuenchDriver {
@@ -299,7 +290,7 @@ impl QuenchDriver {
             time: 0.0,
             rec_steps: 0,
             progress: Progress::fresh(),
-            ckpt: None,
+            ckpt: CkptHook::default(),
         };
         if let Some(wd) = driver.cfg.monitor {
             driver.enable_monitoring(wd);
@@ -582,25 +573,15 @@ impl QuenchDriver {
         keep: usize,
         policy: CheckpointPolicy,
     ) {
-        let store = CheckpointStore::new(storage, keep).with_registry(Arc::clone(&self.metrics));
-        self.ckpt = Some(CkptHook {
-            store,
-            policy,
-            cursor: PolicyCursor::new(),
-        });
+        self.ckpt
+            .enable(storage, keep, policy, Arc::clone(&self.metrics));
     }
 
     /// Cut a checkpoint right now (independent of the policy). Errors
     /// surface to the caller; the run itself is unaffected.
     pub fn checkpoint_now(&mut self) -> Result<u64, CkptError> {
         let payload = self.encode_ckpt();
-        match &mut self.ckpt {
-            Some(h) => h.store.save(&payload),
-            None => Err(CkptError::Io {
-                op: "save",
-                detail: "checkpointing not enabled on this driver".into(),
-            }),
-        }
+        self.ckpt.save(&payload)
     }
 
     /// Policy trigger, called after every completed driver step and on
@@ -609,11 +590,7 @@ impl QuenchDriver {
     /// best-effort, the physics run never dies because a disk filled up —
     /// the previous good generations stay available.
     fn maybe_checkpoint(&mut self, phase_change: bool) {
-        let due = match &mut self.ckpt {
-            Some(h) => h.cursor.due(&h.policy, self.rec_steps, phase_change),
-            None => return,
-        };
-        if due {
+        if self.ckpt.due(self.rec_steps, phase_change) {
             let _ = self.checkpoint_now();
         }
     }
@@ -624,23 +601,13 @@ impl QuenchDriver {
     /// skipped by the store, and a payload incompatible with this driver's
     /// configuration is a [`CkptError::Incompatible`].
     pub fn resume_from_checkpoint(&mut self) -> Result<bool, CkptError> {
-        let loaded = match &mut self.ckpt {
-            Some(h) => h.store.load_latest()?,
-            None => {
-                return Err(CkptError::Io {
-                    op: "load",
-                    detail: "checkpointing not enabled on this driver".into(),
-                })
-            }
-        };
-        let Some(loaded) = loaded else {
-            return Ok(false);
-        };
-        self.restore_ckpt(&loaded.payload)?;
-        if let Some(h) = &mut self.ckpt {
-            h.cursor.rebase(self.rec_steps);
-        }
-        Ok(true)
+        let mut hook = std::mem::take(&mut self.ckpt);
+        let resumed = hook.resume(|payload| {
+            self.restore_ckpt(payload)?;
+            Ok(self.rec_steps)
+        });
+        self.ckpt = hook;
+        resumed
     }
 
     /// Serialize the full resumable driver state: progress, clocks, the
@@ -668,10 +635,7 @@ impl QuenchDriver {
         // Coefficient vector.
         w.put_f64_slice(&self.state);
         // Adaptive-stepper policy state.
-        let sc = self.stepper.export_ckpt();
-        w.put_f64(sc.dt_scale);
-        w.put_u64(sc.easy_streak);
-        w.put_f64_slice(&sc.checkpoint);
+        encode_stepper_ckpt(&mut w, &self.stepper.export_ckpt());
         // Accumulated step statistics.
         w.put_u64(self.stats.newton_iters as u64);
         w.put_f64(self.stats.t_landau);
@@ -760,11 +724,7 @@ impl QuenchDriver {
                 ),
             });
         }
-        let stepper_ckpt = StepperCkpt {
-            dt_scale: r.get_f64()?,
-            easy_streak: r.get_u64()?,
-            checkpoint: r.get_f64_vec()?,
-        };
+        let stepper_ckpt = decode_stepper_ckpt(&mut r)?;
         // Field order in these literals is the read order (struct-literal
         // operands evaluate left to right).
         let stats = StepStats {

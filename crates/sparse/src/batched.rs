@@ -4,7 +4,7 @@
 //! [`BatchedBandStorage`] holds `n_mats` equally-sized banded matrices —
 //! one per (vertex, species) lane of a batched Newton solve — in a single
 //! allocation laid out *tile-major, slot-major, lane-minor*: lanes are
-//! grouped into [`LANE_TILE`]-wide tiles, and band slot
+//! grouped into `LANE_TILE`-wide tiles, and band slot
 //! `s = i·w + (j − i + lbw)` of lane `m` lives at
 //! `data[(m/T)·n_slots·T + s·T + (m%T)]` with `T = LANE_TILE`. The
 //! innermost dimension strides lanes, so a warp (or SIMD vector, or cache
@@ -263,7 +263,7 @@ impl BatchedBandStorage {
     /// returns at its first bad pivot. Inactive lanes' values are likewise
     /// never changed.
     ///
-    /// Lanes are swept in [`LANE_TILE`]-wide cache tiles — each tile runs
+    /// Lanes are swept in `LANE_TILE`-wide cache tiles — each tile runs
     /// the full pivot sequence while its sliding row window stays
     /// resident — and the innermost lane loops are branchless selects over
     /// unit strides, so they vectorize. Per lane the FP sequence is

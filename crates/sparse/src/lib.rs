@@ -29,7 +29,6 @@ pub mod batched;
 pub mod checked;
 pub mod coo;
 pub mod csr;
-pub mod iterative;
 pub mod rcm;
 pub mod vecops;
 

@@ -7,12 +7,15 @@
 //!   rebuilt from CSR every Newton iteration.
 //! * [`SevenStreamTable`] — the cached inner integral that stored `U^K`'s
 //!   second column and staged the species sums per `(test point, tile)`.
+//! * [`host_loop_advance`] — the batch advanced one vertex at a time, each
+//!   through its own solo stepper.
 
 use landau_core::fault_sites::SITE_LU_FACTOR;
 use landau_core::ipdata::IpData;
 use landau_core::kernels::IpCoeffs;
 use landau_core::solver::{NonFiniteSite, SolveError, StepStats, ThetaMethod};
 use landau_core::tensor::landau_tensor_2d;
+use landau_core::{BatchStats, BatchedAdvance, VertexStats};
 use landau_core::{FaultKind, LandauOperator, SpeciesList};
 use landau_par::prelude::*;
 use landau_sparse::csr::Csr;
@@ -615,6 +618,67 @@ impl SevenStreamTable {
                 }
             });
         out
+    }
+}
+
+/// `BatchedAdvance::advance` as it ran before the fused lockstep launches:
+/// every vertex takes its `steps` macro steps alone through its own
+/// `AdaptiveStepper`, nothing batched. The fused advance must leave every
+/// vertex on the same bits with the same per-vertex counts. Launch
+/// counters stay zero; neither metrics nor checkpoints are touched.
+pub fn host_loop_advance(
+    batch: &mut BatchedAdvance,
+    dt: f64,
+    steps: usize,
+    e_field: f64,
+) -> BatchStats {
+    let t0 = std::time::Instant::now();
+    let mut per_vertex = Vec::with_capacity(batch.len());
+    for v in 0..batch.len() {
+        let mut state = std::mem::take(&mut batch.states[v]);
+        let mut vs = VertexStats {
+            newton_iters: 0,
+            retried: 0,
+            dt_fraction_min: 1.0,
+            failed: false,
+        };
+        for _ in 0..steps {
+            // A terminal failure still spent attempts and Δt subdivisions.
+            let (iters, retried, fraction) =
+                match batch.stepper_mut(v).advance(&mut state, dt, e_field, None) {
+                    Ok((stats, rec)) => (stats.newton_iters, rec.retried, rec.dt_fraction_min),
+                    Err(f) => {
+                        vs.failed = true;
+                        (0, f.attempts, f.dt_fraction)
+                    }
+                };
+            vs.newton_iters += iters;
+            vs.retried += retried;
+            vs.dt_fraction_min = vs.dt_fraction_min.min(fraction);
+            if vs.failed {
+                break;
+            }
+        }
+        batch.states[v] = state;
+        per_vertex.push(vs);
+    }
+    let seconds = t0.elapsed().as_secs_f64();
+    let healthy = per_vertex.iter().filter(|v| !v.failed);
+    let productive: usize = healthy.map(|v| v.newton_iters).sum();
+    BatchStats {
+        newton_iters: per_vertex.iter().map(|v| v.newton_iters).sum(),
+        productive_newton_iters: productive,
+        seconds,
+        newton_per_sec: if productive == 0 {
+            0.0
+        } else {
+            productive as f64 / seconds
+        },
+        failed: per_vertex.iter().filter(|v| v.failed).count(),
+        retried: per_vertex.iter().map(|v| v.retried).sum(),
+        dt_fraction_min: (per_vertex.iter().map(|v| v.dt_fraction_min)).fold(1.0, f64::min),
+        per_vertex,
+        ..Default::default()
     }
 }
 
