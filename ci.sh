@@ -53,9 +53,9 @@ run_test() {
   echo "== static kernel verifier (registry proofs + seeded-defect corpus)"
   cargo run -q -p landau-check --bin verify-kernels
 
-  echo "== miri (undefined-behavior check, vgpu + sparse; skipped if unavailable)"
+  echo "== miri (undefined-behavior check, vgpu + sparse + math; skipped if unavailable)"
   if cargo +nightly miri --version >/dev/null 2>&1; then
-    cargo +nightly miri test -q -p landau-vgpu -p landau-sparse
+    cargo +nightly miri test -q -p landau-vgpu -p landau-sparse -p landau-math
   else
     echo "miri not installed; skipping (CI runs it in a dedicated job)"
   fi
@@ -67,7 +67,7 @@ run_bench() {
   echo "== bench build"
   cargo build --release -p landau-bench --benches --bins
 
-  echo "== tensor cache bench (quick gate: verify + 2x speedup)"
+  echo "== tensor cache bench (quick gate: verify + 1.4x speedup over the closed form)"
   cargo bench -q -p landau-bench --bench tensor_cache -- --quick
 
   echo "== resilience bench (quick gate: bitwise identity + recovery + obs/monitor overhead)"
@@ -82,13 +82,13 @@ run_bench() {
   echo "== solver bench (quick gate: envelope band LU bitwise vs scalar reference + 4x speedup)"
   cargo bench -q -p landau-bench --bench solver -- --quick
 
-  echo "== kernels bench (quick gate: cached CPU inner integral bitwise vs seven-stream reference + 2.5x speedup)"
+  echo "== kernels bench (quick gates: cached CPU inner integral bitwise vs seven-stream reference + 2.5x; closed-form CPU kernel within 1e-13 of the per-pair reference + 2x)"
   cargo bench -q -p landau-bench --bench kernels -- --quick
 
   echo "== live telemetry bench (quick gate: journal overhead + bitwise identity + scrape p99)"
   cargo bench -q -p landau-bench --bench obs_live -- --quick
 
-  echo "== landau-serve load test (quick: 200 jobs / 4 tenants, kill-resume + scrape/journal probes)"
+  echo "== landau-serve load test (quick: 200 jobs / 4 tenants, kill-resume + scrape/journal probes, retention marks)"
   cargo run -q --release -p landau-bench --bin loadtest -- --quick
 
   echo "== telemetry export smoke (validated scrape, journal drain, per-job trace)"

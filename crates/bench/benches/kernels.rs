@@ -1,11 +1,15 @@
 //! Micro-benchmarks of the Landau kernels and the §III-F assembly-path
-//! ablation, and the gate on the cached CPU inner integral: on the §V
-//! problem (ten species, N = 1280) the five-stream, stage-once kernel must
-//! return the bits of the seven-stream, stage-per-tile kernel it replaced
-//! (`cached_cpu_bitwise`, exact) and beat it by a ratio
+//! ablation, and the gates on the CPU inner integral, both on the §V
+//! problem (ten species, N = 1280). Cached: the five-stream, stage-once
+//! kernel must return the bits of the seven-stream, stage-per-tile kernel
+//! it replaced (`cached_cpu_bitwise`, exact) and beat it by a ratio
 //! (`cached_cpu_speedup_vs_reference`, min-of-N over min-of-N in one
-//! process, floor 2.5×) — a ratio, not seconds, so the committed baseline
-//! means something on another machine.
+//! process, floor 2.5×). Closed form: the same fold over tiles evaluated
+//! in lockstep (`Backend::Cpu` without a cache) must stay within 1e-13 of
+//! the scalar per-pair `inner_integral_cpu` (`closed_form_cpu_rel_diff`)
+//! and beat it (`closed_form_cpu_speedup_vs_reference`, floor 2×). Ratios,
+//! not seconds, so the committed baseline means something on another
+//! machine.
 //!
 //! Plain timing harness (`harness = false`):
 //! `cargo bench -p landau-bench --bench kernels [-- --quick]`. The gate's
@@ -47,24 +51,18 @@ fn bench<R>(name: &str, iters: usize, mut body: impl FnMut() -> R) {
     }
 }
 
-/// The gated comparison; returns the `BENCH_kernels.json` entries.
-fn cached_cpu_gate() -> Vec<(String, f64)> {
-    let op = perf_operator(80, Backend::Cpu);
-    let mut ip = IpData::new(&op.space, &op.species);
-    ip.pack(&op.space, &op.initial_state());
-    let table = TensorTable::build(&ip, usize::MAX);
-    let reference = SevenStreamTable::build(&ip, true);
+/// The cached comparison on the packed §V problem; returns its
+/// `BENCH_kernels.json` entries.
+fn cached_cpu_gate(ip: &IpData, sl: &SpeciesList) -> Vec<(String, f64)> {
+    let table = TensorTable::build(ip, usize::MAX);
+    let reference = SevenStreamTable::build(ip, true);
 
-    let (new, _) = inner_integral_cpu_cached(&ip, &op.species, &table);
-    let old = reference.inner_integral(&ip, &op.species);
+    let (new, _) = inner_integral_cpu_cached(ip, sl, &table);
+    let old = reference.inner_integral(ip, sl);
     let bitwise = coeff_bits(&new) == coeff_bits(&old);
 
-    let t_new = min_seconds(
-        15,
-        || (),
-        |()| inner_integral_cpu_cached(&ip, &op.species, &table),
-    );
-    let t_ref = min_seconds(9, || (), |()| reference.inner_integral(&ip, &op.species));
+    let t_new = min_seconds(15, || (), |()| inner_integral_cpu_cached(ip, sl, &table));
+    let t_ref = min_seconds(9, || (), |()| reference.inner_integral(ip, sl));
     let speedup = t_ref / t_new;
     println!(
         "cached_cpu gate: N = {}, {} species; reference {:.3} ms, stage-once five-stream \
@@ -80,6 +78,32 @@ fn cached_cpu_gate() -> Vec<(String, f64)> {
         ("cached_cpu_speedup_vs_reference".into(), speedup),
         ("cached_cpu_ms".into(), t_new * 1e3),
         ("cached_cpu_reference_ms".into(), t_ref * 1e3),
+    ]
+}
+
+/// The closed-form comparison on the same problem; returns its
+/// `BENCH_kernels.json` entries.
+fn closed_form_cpu_gate(ip: &IpData, sl: &SpeciesList) -> Vec<(String, f64)> {
+    let table = TensorTable::build(ip, 0);
+
+    let (new, _) = inner_integral_cpu_cached(ip, sl, &table);
+    let (reference, _) = inner_integral_cpu(ip, sl);
+    let rel_diff = new.max_rel_diff(&reference);
+
+    let t_new = min_seconds(9, || (), |()| inner_integral_cpu_cached(ip, sl, &table));
+    let t_ref = min_seconds(5, || (), |()| inner_integral_cpu(ip, sl));
+    let speedup = t_ref / t_new;
+    println!(
+        "closed_form_cpu gate: scalar per-pair reference {:.3} ms, lane-block fold {:.3} ms, \
+         {speedup:.2}x (floor 2x), rel diff {rel_diff:.2e}",
+        t_ref * 1e3,
+        t_new * 1e3,
+    );
+    vec![
+        ("closed_form_cpu_rel_diff".into(), rel_diff),
+        ("closed_form_cpu_speedup_vs_reference".into(), speedup),
+        ("closed_form_cpu_ms".into(), t_new * 1e3),
+        ("closed_form_cpu_reference_ms".into(), t_ref * 1e3),
     ]
 }
 
@@ -116,7 +140,11 @@ fn setup() -> (FemSpace, SpeciesList, IpData) {
 }
 
 fn main() {
-    let json = cached_cpu_gate();
+    let op = perf_operator(80, Backend::Cpu);
+    let mut ip = IpData::new(&op.space, &op.species);
+    ip.pack(&op.space, &op.initial_state());
+    let mut json = cached_cpu_gate(&ip, &op.species);
+    json.extend(closed_form_cpu_gate(&ip, &op.species));
     let path = write_bench_json("BENCH_kernels.json", &json);
     println!("wrote {}", path.display());
     let value = |name: &str| json.iter().find(|(n, _)| n == name).expect("emitted").1;
@@ -127,6 +155,14 @@ fn main() {
     assert!(
         value("cached_cpu_speedup_vs_reference") >= 2.5,
         "cached CPU kernel under 2.5x the seven-stream reference"
+    );
+    assert!(
+        value("closed_form_cpu_rel_diff") < 1e-13,
+        "closed-form CPU kernel left the scalar per-pair reference"
+    );
+    assert!(
+        value("closed_form_cpu_speedup_vs_reference") >= 2.0,
+        "closed-form CPU kernel under 2x the scalar per-pair reference"
     );
     if std::env::args().any(|a| a == "--quick") {
         return;

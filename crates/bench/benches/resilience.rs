@@ -13,12 +13,12 @@
 //!      its cost (extra attempts) is reported.
 //!   4. *Observability* — span/metric recording must leave the state
 //!      bitwise unchanged, and its time cost (`obs_overhead_frac`,
-//!      min-of-3 ABAB interleave against recording-off runs) is reported
+//!      min-of-5 ABAB interleave against recording-off runs) is reported
 //!      for the bench_gate's <2% ceiling.
 //!   5. *Invariant monitoring* — a Record-mode [`ConservationMonitor`]
 //!      must also leave the state bitwise unchanged (it only *reads*
 //!      moments, residual and entropy), and its cost
-//!      (`monitor_overhead_frac`, same ABAB min-of-3 protocol) sits
+//!      (`monitor_overhead_frac`, same ABAB min-of-5 protocol) sits
 //!      under the same 2% ceiling.
 //!   6. *Checkpointing* — a batched advance checkpointing every macro
 //!      step must stay bitwise identical to one that never does, with
@@ -113,6 +113,13 @@ fn run_monitored(steps: usize, dt: f64) -> (Vec<f64>, usize, f64) {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let steps = if quick { 2 } else { 6 };
+    // Gates 4 and 5 resolve a sub-2 % difference between two arms, and an
+    // arm of `steps` steps is 0.23 s since the closed-form kernel's AGM
+    // stops on convergence (it was 4.5 s), where ±5 ms of scheduling is
+    // the whole ceiling: run them four times as long and take the min of
+    // five, which is what it takes to read 2 % here (17 runs at min of
+    // three put the monitor over it three times, 10 at five read ±1.1 %).
+    let overhead_steps = 4 * steps;
     let dt = 0.5;
 
     // Warm-up pass so neither timed path pays first-touch costs.
@@ -187,14 +194,14 @@ fn main() {
     let mut t_off = f64::INFINITY;
     let mut s_on = Vec::new();
     let mut s_off = Vec::new();
-    for _ in 0..3 {
+    for _ in 0..5 {
         landau_obs::reset_spans();
         landau_obs::set_recording(true);
-        let (s, _, t) = run_guarded(steps, dt);
+        let (s, _, t) = run_guarded(overhead_steps, dt);
         t_on = t_on.min(t);
         s_on = s;
         landau_obs::set_recording(false);
-        let (s, _, t) = run_guarded(steps, dt);
+        let (s, _, t) = run_guarded(overhead_steps, dt);
         t_off = t_off.min(t);
         s_off = s;
     }
@@ -215,21 +222,21 @@ fn main() {
     );
     eprintln!(
         "observability: recording on {t_on:.3}s, off {t_off:.3}s \
-         ({:+.2}% overhead, min of 3)",
+         ({:+.2}% overhead, min of 5)",
         100.0 * obs_overhead
     );
 
     // Gate 5: invariant-monitor cost and bitwise transparency, with the
-    // same ABAB min-of-3 protocol as Gate 4.
+    // same ABAB min-of-5 protocol as Gate 4.
     let mut t_mon = f64::INFINITY;
     let mut t_base = f64::INFINITY;
     let mut s_mon = Vec::new();
     let mut s_base = Vec::new();
-    for _ in 0..3 {
-        let (s, _, t) = run_monitored(steps, dt);
+    for _ in 0..5 {
+        let (s, _, t) = run_monitored(overhead_steps, dt);
         t_mon = t_mon.min(t);
         s_mon = s;
-        let (s, _, t) = run_guarded(steps, dt);
+        let (s, _, t) = run_guarded(overhead_steps, dt);
         t_base = t_base.min(t);
         s_base = s;
     }
@@ -245,7 +252,7 @@ fn main() {
     );
     eprintln!(
         "invariants: monitored {t_mon:.3}s, unmonitored {t_base:.3}s \
-         ({:+.2}% overhead, min of 3)",
+         ({:+.2}% overhead, min of 5)",
         100.0 * monitor_overhead
     );
 

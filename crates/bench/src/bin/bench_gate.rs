@@ -76,7 +76,7 @@ fn rule_for(name: &str) -> Rule {
         "invariant.steps" => Rule::RelTol(0.25),
         // The span/metric recording, the conservation monitor, the
         // per-step checkpoint writer and the event journal must each
-        // cost under 2% on the guarded solve (min-of-3 ABAB
+        // cost under 2% on the guarded solve (min-of-N ABAB
         // measurements).
         "obs_overhead_frac"
         | "monitor_overhead_frac"
@@ -116,6 +116,11 @@ fn rule_for(name: &str) -> Rule {
         "serve.fairness_spread" => Rule::Ceiling(0.5),
         // Rejection volume depends on arrival timing — informational.
         "serve.rejected_jobs" => Rule::Info,
+        // Retention: the flood drops each handle once its job is terminal,
+        // so the job table and the per-job span trees may hold the 24-deep
+        // admission window plus the two workers' jobs between `finish` and
+        // task exit — never one entry per job ever served (200 here).
+        "serve.jobs_retained" | "obs.traced_jobs" => Rule::Ceiling(27.0),
         // -- live telemetry plane (BENCH_obs_live.json) -----------------
         // Journal publishing must be pure observation: the enabled and
         // disabled arms land on the same bits, and every scrape under
@@ -129,8 +134,13 @@ fn rule_for(name: &str) -> Rule {
         // Event volume tracks checkpoint cadence, which shifts with the
         // quick/full shape — informational.
         "obs.journal_events_published" => Rule::Info,
-        // The tensor cache must keep its 2× over recomputation.
-        "speedup" => Rule::Floor(2.0),
+        // The tensor cache against the closed form, on whole Newton
+        // iterations of the §V problem: 1.74–1.81× measured (the kernel
+        // alone is 4×; the band LU both arms share is ~70 % of a cached
+        // iteration). It read 9.65× while the closed form's AGM never
+        // converged early; 1.4 is where the table has lost half of what
+        // it buys.
+        "speedup" => Rule::Floor(1.4),
         // Fused-batch throughput holds against its own committed baseline.
         // Its ratio to the host loop (`speedup_256/1024`) falls through to
         // info: the host loop is the bitwise oracle, and it gets faster
@@ -148,6 +158,11 @@ fn rule_for(name: &str) -> Rule {
         // and beat it by a ratio taken the same way, on the §V problem.
         "cached_cpu_bitwise" => Rule::Exact,
         "cached_cpu_speedup_vs_reference" => Rule::Floor(2.5),
+        // The closed-form CPU kernel (tiles evaluated in lockstep, species
+        // sums staged once) against the scalar per-pair reference, same
+        // problem, same way: 3.2× measured, and the same numbers.
+        "closed_form_cpu_speedup_vs_reference" => Rule::Floor(2.0),
+        "closed_form_cpu_rel_diff" => Rule::Ceiling(1e-13),
         n if n.starts_with("verify_rel_diff_") => Rule::Ceiling(1e-13),
         _ => Rule::Info,
     }

@@ -16,6 +16,10 @@
 //!   global event journal in two batches and checks that the merged
 //!   stream is seq-ordered and survives a `landau-obs-events/1`
 //!   round-trip,
+//! * retention: the flood lets each handle go once its job is terminal,
+//!   and the high-water marks of the server's job table
+//!   (`serve.jobs_retained`) and of `landau-obs`'s per-job span trees
+//!   (`obs.traced_jobs`) must stay within the admission window,
 //! * a live scrape probe: `metrics_scrape()` is called while the flood
 //!   is still in flight and must return valid OpenMetrics text carrying
 //!   `serve_*`, `alert_*`, and journal drop-counter families.
@@ -213,7 +217,11 @@ fn main() {
     let resume_ok = resume_probe(&server);
 
     let mut rng = args.seed;
-    let mut handles: Vec<JobHandle> = Vec::with_capacity(args.jobs);
+    let mut in_flight: Vec<JobHandle> = Vec::new();
+    let mut completed = 0usize;
+    // High-water marks of what the process keeps per job: entries in the
+    // server's table, and per-job span trees in `landau-obs`.
+    let (mut retained_max, mut traced_max) = (0usize, 0usize);
     let mut retries = 0u64;
     let t0 = Instant::now();
     for i in 0..args.jobs {
@@ -233,7 +241,16 @@ fn main() {
                 }
             }
         };
-        handles.push(handle);
+        in_flight.push(handle);
+        // A client that has its result lets the handle go; the job's
+        // record and span tree must go with it.
+        in_flight.retain(|h| {
+            let status = h.status();
+            completed += usize::from(status == JobStatus::Completed);
+            !status.is_terminal()
+        });
+        retained_max = retained_max.max(server.jobs_retained());
+        traced_max = traced_max.max(landau_obs::traced_jobs().len());
         // Seeded sub-millisecond arrival jitter.
         std::thread::sleep(Duration::from_micros(splitmix64(&mut rng) % 800));
     }
@@ -253,11 +270,8 @@ fn main() {
             "mid-load scrape is missing the {family} family"
         );
     }
-    let mut completed = 0usize;
-    for h in &handles {
-        if block_on(h.wait()) == JobStatus::Completed {
-            completed += 1;
-        }
+    for h in in_flight {
+        completed += usize::from(block_on(h.wait()) == JobStatus::Completed);
     }
     let wall = t0.elapsed().as_secs_f64();
 
@@ -302,6 +316,8 @@ fn main() {
         ("serve.throughput_jobs_per_sec".to_string(), throughput),
         ("serve.fairness_spread".to_string(), spread),
         ("serve.rejected_jobs".to_string(), rejected),
+        ("serve.jobs_retained".to_string(), retained_max as f64),
+        ("obs.traced_jobs".to_string(), traced_max as f64),
         (
             "serve.resume_bitwise_identical".to_string(),
             if resume_ok { 1.0 } else { 0.0 },

@@ -106,7 +106,9 @@ fn main() {
     let journal_path = root.join("JOURNAL_events.json");
     std::fs::write(&journal_path, &text).expect("write JOURNAL_events.json");
 
-    // 3. Per-job Chrome trace: one rooted span tree per served job.
+    // 3. Per-job Chrome trace: one rooted span tree per served job. A
+    // job's tree lives as long as a handle to it, so `handles` stays in
+    // scope until the trace is written.
     let jobs = landau_obs::traced_jobs();
     if smoke {
         assert!(!jobs.is_empty(), "no job accumulated any spans");
@@ -117,6 +119,7 @@ fn main() {
         let trace = landau_obs::job_chrome_trace(job, &snap);
         std::fs::write(&trace_path, trace.to_text()).expect("write OBS_job_trace.json");
     }
+    drop(handles);
 
     eprintln!(
         "wrote {} ({} lines), {} ({} events), {} ({} traced jobs){}",

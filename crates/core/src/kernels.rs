@@ -19,6 +19,11 @@
 //! The three back-ends (plain CPU, CUDA model, Kokkos model) produce the
 //! same `G` arrays up to floating-point association order; tests pin them
 //! to ≤1e-12 relative difference.
+//!
+//! The CPU backend's one production body is [`inner_integral_cpu_cached`]
+//! (tiles streamed from a resident [`TensorTable`] or evaluated from the
+//! closed form by a zero-budget one); [`inner_integral_cpu`] is the scalar
+//! per-pair reference, and the device models run Algorithm 1 as written.
 
 use crate::ipdata::IpData;
 use crate::registry::{KernelDims, KernelEntry, KernelRegistry, PolicyFamily, VerifyInput};
@@ -133,6 +138,7 @@ fn pair_body(ri: f64, zi: f64, ip: &IpData, fk: &[f64], fd: &[f64], j: usize, ac
 
 /// Inner integral, plain CPU style (the "common CPU code" of §III-D):
 /// a parallel loop over test points, each scanning every field point.
+/// Reference only: [`inner_integral_cpu_cached`] is the CPU backend's kernel.
 pub fn inner_integral_cpu(ip: &IpData, species: &SpeciesList) -> (IpCoeffs, Tally) {
     let _sp = landau_obs::span(landau_obs::names::INNER_INTEGRAL);
     let fk = species.k_field_factors();
@@ -375,12 +381,12 @@ pub fn inner_integral_kokkos_with<F: TeamFactory>(
     (out, tally)
 }
 
-/// Inner integral over the geometry cache, plain CPU style: the species
-/// sums are staged once for all `N` field points (they do not depend on the
-/// test point), then a parallel loop over elements streams every
-/// field-element tile of each test point through [`CachedStream::fold`].
-/// The uncached [`inner_integral_cpu`] stays as the reference
-/// implementation.
+/// The CPU backend's inner integral: the species sums are staged once for
+/// all `N` field points (they do not depend on the test point), then a
+/// parallel loop over elements folds every field-element tile of each test
+/// point through [`CachedStream::fold`] — tiles streamed from a resident
+/// table, or evaluated from the closed form by a `Recompute` one. The
+/// per-pair [`inner_integral_cpu`] stays as the reference implementation.
 pub fn inner_integral_cpu_cached(
     ip: &IpData,
     species: &SpeciesList,
@@ -1202,6 +1208,11 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         assert!(t_re.cache_build_flops > 0 && t_re.cache_read == 0);
+        // The closed-form fold — what `Backend::Cpu` runs without a cache —
+        // against the per-pair reference and Algorithm 1 as written.
+        let (reference, _) = inner_integral_cpu(&ip, &sl);
+        let (cuda, _) = inner_integral_cuda_model(&ip, &sl, 16);
+        assert!(b.max_rel_diff(&reference) < 1e-13 && b.max_rel_diff(&cuda) < 1e-13);
     }
 
     #[test]

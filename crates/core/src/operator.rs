@@ -88,6 +88,10 @@ pub struct LandauOperator {
     /// Geometry-invariant tensor cache; when set, `assemble` streams the
     /// tiled kernels instead of re-evaluating the Landau tensors per pair.
     tensor_table: Option<Arc<TensorTable>>,
+    /// The zero-budget (`Recompute`) table [`Backend::Cpu`] folds over while
+    /// no cache is set: geometry only, built by the first assembly that
+    /// needs it (the lanes of a batch share a resident table and hold none).
+    closed_form: Option<Arc<TensorTable>>,
 }
 
 impl LandauOperator {
@@ -124,6 +128,7 @@ impl LandauOperator {
             dim_x,
             color_batches: None,
             tensor_table: None,
+            closed_form: None,
         }
     }
 
@@ -132,8 +137,8 @@ impl LandauOperator {
     /// `tensor_table_build` counter. Returns the shared handle so callers
     /// can pass it to sibling operators ([`Self::set_tensor_table`]).
     ///
-    /// Not enabled by default: the uncached path is the reference both for
-    /// correctness and for the paper's arithmetic-intensity tables.
+    /// Not enabled by default: the closed-form path is the reference both
+    /// for correctness and for the paper's arithmetic-intensity tables.
     pub fn enable_tensor_cache(&mut self, budget_bytes: usize) -> Arc<TensorTable> {
         let table = TensorTable::build(&self.ipdata, budget_bytes);
         self.device.record_launch(
@@ -160,7 +165,7 @@ impl LandauOperator {
         self.tensor_table.as_ref()
     }
 
-    /// Drop the geometry cache, returning to the uncached reference path.
+    /// Drop the geometry cache, returning to the closed-form path.
     pub fn clear_tensor_cache(&mut self) {
         self.tensor_table = None;
     }
@@ -204,15 +209,20 @@ impl LandauOperator {
         self.ipdata.pack(&self.space, state);
         let sp_kernel = landau_obs::span(landau_obs::names::KERNEL);
         let (mut coeffs, tally) = match (&self.tensor_table, self.backend) {
-            (None, Backend::Cpu) => kernels::inner_integral_cpu(&self.ipdata, &self.species),
+            // One fold body, whether a tile comes from memory or the closed form.
+            (table, Backend::Cpu) => kernels::inner_integral_cpu_cached(
+                &self.ipdata,
+                &self.species,
+                table.as_ref().unwrap_or_else(|| {
+                    self.closed_form
+                        .get_or_insert_with(|| TensorTable::build(&self.ipdata, 0))
+                }),
+            ),
             (None, Backend::CudaModel) => {
                 kernels::inner_integral_cuda_model(&self.ipdata, &self.species, self.dim_x)
             }
             (None, Backend::KokkosModel) => {
                 kernels::inner_integral_kokkos_model(&self.ipdata, &self.species, self.dim_x)
-            }
-            (Some(t), Backend::Cpu) => {
-                kernels::inner_integral_cpu_cached(&self.ipdata, &self.species, t)
             }
             (Some(t), Backend::CudaModel) => kernels::inner_integral_cuda_model_cached(
                 &self.ipdata,
@@ -481,6 +491,25 @@ mod tests {
                 assert!((x - y).abs() < 1e-11 * scale);
                 assert!((x - z).abs() < 1e-11 * scale);
             }
+        }
+    }
+
+    #[test]
+    fn cpu_backend_folds_the_same_bits_with_and_without_a_cache() {
+        let mut op = small_operator(Backend::Cpu);
+        let state = op.initial_state();
+        let closed_form = op.assemble(&state, 0.1);
+        let stats = op.device.kernel_stats("landau_jacobian");
+        assert!(stats.cache_build_flops > 0 && stats.cache_read == 0);
+        op.enable_tensor_cache(usize::MAX);
+        let cached = op.assemble(&state, 0.1);
+        assert!(op.device.kernel_stats("landau_jacobian").cache_read > 0);
+        for (a, b) in closed_form.mats.iter().zip(&cached.mats) {
+            assert!(a
+                .vals
+                .iter()
+                .zip(&b.vals)
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 

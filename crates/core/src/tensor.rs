@@ -7,7 +7,10 @@
 //! columns contract the field-point cylindrical gradient `(∂ρ̄, ∂z̄) f̄_β`).
 //! Both reduce to combinations of the complete elliptic integrals `K(k)`
 //! and `E(k)` — this is the `LandauTensor2D` of Algorithm 1 and by far the
-//! hottest function of the solver.
+//! hottest function of the solver. Two forms over one arithmetic: the
+//! scalar [`landau_tensor_2d`] (one pair; Algorithm 1 and the reference) and
+//! the lane block [`landau_tensor_2d_tile`] (one field-element tile in
+//! lockstep, each lane the scalar's bits).
 //!
 //! Derivation (see DESIGN.md §4): with `a² = Δz² + (ρ+ρ̄)²`,
 //! `b² = Δz² + (ρ−ρ̄)²`, `k² = 4ρρ̄/a²`, `c² = ρ² + ρ̄² + Δz²` and the
@@ -15,12 +18,15 @@
 //! `A1 = ∮ dφ/u = 4K/a`, `A3 = ∮ dφ/u³ = 4E/(a b²)`, `Am1 = ∮ u dφ = 4aE`,
 //! every `cosᵐφ` moment follows from `cosφ = (c² − u²)/(2ρρ̄)`.
 
-use landau_math::elliptic::ellip_ke;
+use landau_math::elliptic::{ellip_ke, ellip_ke_lanes, LANES};
 
-/// Count of f64 operations in one [`landau_tensor_2d`] evaluation
-/// (including the AGM); used by the performance counters so the hot loop
-/// carries no per-operation counting overhead.
-pub const TENSOR2D_FLOPS: u64 = 140;
+/// f64 operations one [`landau_tensor_2d`] evaluation executes, counted
+/// from the code: 12 for geometry and modulus, 3 to seed the AGM, `11p − 2`
+/// for its `p` passes, 3 for `K` and `E`, 51 for the closed forms —
+/// `67 + 11p` at the measured mean of `p = 4.16` passes over the §V mesh's
+/// pairs. Used by the performance counters so the hot loop carries no
+/// per-operation counting overhead.
+pub const TENSOR2D_FLOPS: u64 = 113;
 
 /// The 3D Landau tensor (eq. 3). Returns the symmetric 3×3 matrix as
 /// row-major `[ [f64;3] ;3]`. The caller must not pass `v == v̄` (the
@@ -50,15 +56,18 @@ pub struct Tensor2D {
     pub k: [[f64; 2]; 2],
 }
 
-/// Closed-form azimuthally integrated Landau tensors at test point
-/// `(r, z)` and field point `(rb, zb)`, both with `r > 0` (Gauss points are
-/// interior so this always holds).
-///
-/// The self-interaction point must be excluded by the caller (Algorithm 1's
-/// `gi == j` mask): as `(r,z) → (rb,zb)` the integrals diverge.
-#[inline]
-pub fn landau_tensor_2d(r: f64, z: f64, rb: f64, zb: f64) -> Tensor2D {
-    debug_assert!(r > 0.0 && rb > 0.0, "axis points are not quadrature points");
+/// The squared elliptic modulus `k² = 4ρρ̄/a²` of a point pair.
+#[inline(always)]
+fn modulus(r: f64, z: f64, rb: f64, zb: f64) -> f64 {
+    let dz = z - zb;
+    let sum = r + rb;
+    4.0 * r * rb / (dz * dz + sum * sum)
+}
+
+/// The closed forms in `K(k)`, `E(k)` (`kk`, `ee`, at [`modulus`]): the one
+/// place the tensor arithmetic is written, inlined by both forms.
+#[inline(always)]
+fn closed_form(r: f64, z: f64, rb: f64, zb: f64, kk: f64, ee: f64) -> Tensor2D {
     let dz = z - zb;
     let dz2 = dz * dz;
     let sum = r + rb;
@@ -66,9 +75,6 @@ pub fn landau_tensor_2d(r: f64, z: f64, rb: f64, zb: f64) -> Tensor2D {
     let a2 = dz2 + sum * sum;
     let b2 = dz2 + dif * dif;
     let a = a2.sqrt();
-    let m = 4.0 * r * rb / a2; // k² for the elliptic integrals
-    let ke = ellip_ke(m);
-    let (kk, ee) = (ke.k, ke.e);
     let c2 = r * r + rb * rb + dz2;
     let rrb = r * rb;
     // Azimuthal base moments.
@@ -92,6 +98,71 @@ pub fn landau_tensor_2d(r: f64, z: f64, rb: f64, zb: f64) -> Tensor2D {
     Tensor2D {
         d: [d_rr, d_rz, d_zz],
         k: [[k_rr, k_rz], [k_zr, k_zz]],
+    }
+}
+
+/// Closed-form azimuthally integrated Landau tensors at test point
+/// `(r, z)` and field point `(rb, zb)`, both with `r > 0` (Gauss points are
+/// interior so this always holds).
+///
+/// The self-interaction point must be excluded by the caller (Algorithm 1's
+/// `gi == j` mask): as `(r,z) → (rb,zb)` the integrals diverge.
+#[inline]
+pub fn landau_tensor_2d(r: f64, z: f64, rb: f64, zb: f64) -> Tensor2D {
+    debug_assert!(r > 0.0 && rb > 0.0, "axis points are not quadrature points");
+    let ke = ellip_ke(modulus(r, z, rb, zb));
+    closed_form(r, z, rb, zb, ke.k, ke.e)
+}
+
+/// The lane-block form: test point `(r, z)` against one field-element tile
+/// `(rb[l], zb[l])`, writing the five streams `k00 | k10 | d0 | d1 | d2`
+/// (`nq = rb.len()` each), every entry the bits of `w[l]` times
+/// [`landau_tensor_2d`]'s. The lane loops are straight-line (they
+/// autovectorize); `skip` is the self pair's lane, stored as `+0.0`.
+pub fn landau_tensor_2d_tile(
+    r: f64,
+    z: f64,
+    rb: &[f64],
+    zb: &[f64],
+    w: &[f64],
+    skip: Option<usize>,
+    out: &mut [f64],
+) {
+    debug_assert!(r > 0.0, "axis points are not quadrature points");
+    let nq = rb.len();
+    assert!(zb.len() == nq && w.len() == nq && out.len() == 5 * nq);
+    let (k00, rest) = out.split_at_mut(nq);
+    let (k10, rest) = rest.split_at_mut(nq);
+    let (d0, rest) = rest.split_at_mut(nq);
+    let (d1, d2) = rest.split_at_mut(nq);
+    for off in (0..nq).step_by(LANES) {
+        let n = LANES.min(nq - off);
+        let at = off..off + n;
+        let (rb, zb, w) = (&rb[at.clone()], &zb[at.clone()], &w[at.clone()]);
+        let (mut m, mut kk, mut ee) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
+        for l in 0..n {
+            m[l] = modulus(r, z, rb[l], zb[l]);
+        }
+        if let Some(s) = skip.filter(|s| at.contains(s)) {
+            // The self pair has k² = 1, b² = 0; its lane is overwritten below.
+            m[s - off] = 0.0;
+        }
+        ellip_ke_lanes(&m[..n], &mut kk[..n], &mut ee[..n]);
+        let (k00, k10) = (&mut k00[at.clone()], &mut k10[at.clone()]);
+        let (d0, d1, d2) = (&mut d0[at.clone()], &mut d1[at.clone()], &mut d2[at]);
+        for l in 0..n {
+            let t = closed_form(r, z, rb[l], zb[l], kk[l], ee[l]);
+            k00[l] = w[l] * t.k[0][0];
+            k10[l] = w[l] * t.k[1][0];
+            d0[l] = w[l] * t.d[0];
+            d1[l] = w[l] * t.d[1];
+            d2[l] = w[l] * t.d[2];
+        }
+    }
+    if let Some(s) = skip {
+        for c in 0..5 {
+            out[c * nq + s] = 0.0;
+        }
     }
 }
 
@@ -196,6 +267,52 @@ mod tests {
                         cf.k[i][j],
                         nm.k[i][j]
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_lanes_leave_the_scalar_bits() {
+        // Field points from touching the test point to far away, so the
+        // lanes of one tile retire from the AGM on different passes; full,
+        // partial and wider-than-LANES tiles; with and without the self
+        // pair, whose lane is +0.0 and leaves its neighbours alone.
+        let mut rng = landau_testkit::Rng::new(5);
+        for nq in [4usize, 9, 16, 25] {
+            for case in 0..40 {
+                let (r, z) = (rng.f64_in(1e-3, 4.0), rng.f64_in(-4.0, 4.0));
+                let rb: Vec<f64> = (0..nq)
+                    .map(|l| match l % 3 {
+                        0 => r * (1.0 + rng.f64_in(1e-6, 1e-2)),
+                        1 => rng.f64_in(1e-3, 4.0),
+                        _ => r * rng.f64_in(1e-4, 1e-1),
+                    })
+                    .collect();
+                let mut zb = rng.vec_f64(nq, -4.0, 4.0);
+                zb[0] = z;
+                let w = rng.vec_f64(nq, 0.1, 2.0);
+                let skip = (case % 2 == 1).then(|| rng.usize_in(0, nq - 1));
+                let (mut rb_in, mut zb_in) = (rb.clone(), zb.clone());
+                if let Some(s) = skip {
+                    (rb_in[s], zb_in[s]) = (r, z);
+                }
+                let mut out = vec![f64::NAN; 5 * nq];
+                landau_tensor_2d_tile(r, z, &rb_in, &zb_in, &w, skip, &mut out);
+                for l in 0..nq {
+                    let want = if skip == Some(l) {
+                        [0.0; 5]
+                    } else {
+                        let t = landau_tensor_2d(r, z, rb[l], zb[l]);
+                        [t.k[0][0], t.k[1][0], t.d[0], t.d[1], t.d[2]].map(|v| w[l] * v)
+                    };
+                    for (c, v) in want.iter().enumerate() {
+                        assert_eq!(
+                            out[c * nq + l].to_bits(),
+                            v.to_bits(),
+                            "nq {nq}, case {case}, lane {l}, stream {c}"
+                        );
+                    }
                 }
             }
         }

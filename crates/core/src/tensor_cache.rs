@@ -9,6 +9,8 @@
 //! a precomputed table, turning the hot path from transcendental-bound into
 //! a streaming multiply-accumulate.
 //!
+//! [`landau_tensor_2d`]: crate::tensor::landau_tensor_2d
+//!
 //! **Layout.** The table is tiled by field *element* (j-blocked): for test
 //! point `i` and field element `je`, one tile holds the five tensor streams
 //! `k00, k10, d0, d1, d2` in SoA order, `nq` consecutive entries each, with
@@ -25,7 +27,10 @@
 //! resident ([`CacheMode::Cached`]); above it only the geometry arrays are
 //! kept and tiles are recomputed into caller scratch on the fly
 //! ([`CacheMode::Recompute`]), preserving the API and the exact streaming
-//! arithmetic (so results are bitwise identical across modes).
+//! arithmetic (so results are bitwise identical across modes). Either way
+//! a tile is one [`landau_tensor_2d_tile`] call, and a zero-budget
+//! `Recompute` table (three `N`-vectors) is also what the CPU backend folds
+//! over when no cache is enabled (`LandauOperator::assemble`).
 //!
 //! **Streaming.** A kernel *stages* the species sums `Σ_β f_β·(∇f_β, f_β)`
 //! ([`CachedStream::stage`]) and *folds* tiles against them
@@ -40,7 +45,7 @@
 //! avoided tensor evaluations to [`Tally::cache_flops_saved`].
 
 use crate::ipdata::IpData;
-use crate::tensor::{landau_tensor_2d, Tensor2D, TENSOR2D_FLOPS};
+use crate::tensor::{landau_tensor_2d_tile, TENSOR2D_FLOPS};
 use landau_par::prelude::*;
 use landau_vgpu::Tally;
 use std::ops::Range;
@@ -164,29 +169,21 @@ impl TensorTable {
     }
 
     /// Compute one tile (all streams for test point `i` against field
-    /// element `je`) into `out`, which must hold `STREAMS * nq` values.
+    /// element `je`) into `out`, which must hold `STREAMS * nq` values. The
+    /// integrable self-interaction singularity (`j == i`) is a stored zero,
+    /// replacing the `j != i` branch of the per-pair path.
     fn fill_tile(&self, i: usize, je: usize, out: &mut [f64]) {
         let nq = self.nq;
-        let (ri, zi) = (self.r[i], self.z[i]);
-        let (k00, rest) = out.split_at_mut(nq);
-        let (k10, rest) = rest.split_at_mut(nq);
-        let (d0, rest) = rest.split_at_mut(nq);
-        let (d1, d2) = rest.split_at_mut(nq);
-        for jj in 0..nq {
-            let j = je * nq + jj;
-            // The integrable self-interaction singularity: a stored zero
-            // replaces the `j != i` branch of the uncached path.
-            let (t, w) = if j == i {
-                (Tensor2D::default(), 0.0)
-            } else {
-                (landau_tensor_2d(ri, zi, self.r[j], self.z[j]), self.w[j])
-            };
-            k00[jj] = w * t.k[0][0];
-            k10[jj] = w * t.k[1][0];
-            d0[jj] = w * t.d[0];
-            d1[jj] = w * t.d[1];
-            d2[jj] = w * t.d[2];
-        }
+        let at = je * nq..(je + 1) * nq;
+        landau_tensor_2d_tile(
+            self.r[i],
+            self.z[i],
+            &self.r[at.clone()],
+            &self.z[at.clone()],
+            &self.w[at],
+            (i / nq == je).then_some(i % nq),
+            out,
+        );
     }
 
     /// The tile for `(i, je)`: a slice of `STREAMS * nq` weighted tensor

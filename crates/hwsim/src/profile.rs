@@ -34,6 +34,8 @@ impl IterationProfile {
         let nq = 16u64;
         let nb = 16u64;
         let nip = ne as u64 * nq;
+        // 140: the paper's device `LandauTensor2D`, not what this host
+        // executes (`landau_core::tensor::TENSOR2D_FLOPS`).
         let pair = 140 + 6 * s as u64 + 19;
         let kernel_flops = nip * nip * pair + ne as u64 * nq * (s as u64) * nb * (8 + nb * 6);
         let kernel_bytes =

@@ -57,8 +57,8 @@ pub use journal::{
 pub use metrics::{Counter, HistogramSnapshot, MetricRegistry, MetricSnapshot};
 pub use profile::{reset_global, Profile, Table7Components, PROFILE_SCHEMA};
 pub use span::{
-    job_spans_snapshot, push_trace_ctx, recording, reset_spans, set_recording, span,
-    spans_snapshot, trace_ctx, traced_jobs, SpanGuard, SpanNode, SpanSnapshot, TraceCtx,
+    job_spans_snapshot, push_trace_ctx, recording, reset_spans, retire_job_spans, set_recording,
+    span, spans_snapshot, trace_ctx, traced_jobs, SpanGuard, SpanNode, SpanSnapshot, TraceCtx,
     TraceCtxGuard,
 };
 pub use timeseries::{Record, SeriesSink, TimeSeries, TIMESERIES_SCHEMA};

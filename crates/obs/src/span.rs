@@ -337,6 +337,17 @@ mod rec {
         global_lock().jobs.keys().copied().collect()
     }
 
+    /// Fold `job`'s bucket into the unattributed forest and forget the
+    /// id: [`spans_snapshot`] is unchanged, [`job_spans_snapshot`] turns
+    /// empty. For owners of job ids whose last reader has gone, so a
+    /// long-lived process does not keep one tree per job it ever ran.
+    pub fn retire_job_spans(job: u64) {
+        let mut g = global_lock();
+        for r in g.jobs.remove(&job).unwrap_or_default() {
+            merge_into(&mut g.unattributed, &r);
+        }
+    }
+
     /// RAII guard returned by [`span`]; records on drop.
     #[must_use = "a span records when the guard drops; bind it with `let _sp = span(..)`"]
     pub struct SpanGuard {
@@ -450,6 +461,9 @@ mod rec {
         Vec::new()
     }
 
+    /// No-op without the `record` feature.
+    pub fn retire_job_spans(_job: u64) {}
+
     /// Always `None` without the `record` feature.
     pub fn trace_ctx() -> Option<TraceCtx> {
         None
@@ -484,8 +498,8 @@ mod rec {
 }
 
 pub use rec::{
-    job_spans_snapshot, push_trace_ctx, recording, reset_spans, set_recording, span,
-    spans_snapshot, trace_ctx, traced_jobs, SpanGuard, TraceCtxGuard,
+    job_spans_snapshot, push_trace_ctx, recording, reset_spans, retire_job_spans, set_recording,
+    span, spans_snapshot, trace_ctx, traced_jobs, SpanGuard, TraceCtxGuard,
 };
 
 #[cfg(test)]

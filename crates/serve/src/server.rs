@@ -96,10 +96,23 @@ pub(crate) struct JobEntry {
     state: Mutex<JobState>,
 }
 
+impl Drop for JobEntry {
+    /// The last reader is gone (the job table lets a completed job go, so
+    /// that is its last handle, stream or task): fold the job's span tree
+    /// into the unattributed forest instead of keeping one bucket per job
+    /// id for the life of the process.
+    fn drop(&mut self) {
+        landau_obs::retire_job_spans(self.id.0);
+    }
+}
+
 struct ServerInner {
     cfg: ServeConfig,
     rt: Runtime,
     sched: FairScheduler,
+    /// Jobs that can still run: queued, running, or stopped short
+    /// (cancelled, failed) and therefore resumable. A completed job leaves
+    /// the table and lives on in its handles.
     jobs: Mutex<BTreeMap<JobId, Arc<JobEntry>>>,
     next_id: AtomicU64,
     metrics: Arc<MetricRegistry>,
@@ -233,8 +246,8 @@ impl QuenchServer {
         self.inner
             .journal
             .publish(Event::job_submitted(id.0, &entry.tenant));
-        self.spawn_job_task(entry, false);
-        Ok(self.handle(id))
+        self.spawn_job_task(entry.clone(), false);
+        Ok(self.handle_of(entry))
     }
 
     /// Resume a cancelled (or failed) job from its newest checkpoint
@@ -265,26 +278,36 @@ impl QuenchServer {
         self.inner
             .journal
             .publish(Event::job_resumed(id.0, &entry.tenant));
-        self.spawn_job_task(entry, true);
-        Ok(self.handle(id))
+        self.spawn_job_task(entry.clone(), true);
+        Ok(self.handle_of(entry))
     }
 
-    /// Handle to an existing job.
-    pub fn handle(&self, id: JobId) -> JobHandle {
+    /// Handle to a job still in the table (see [`Self::jobs_retained`]);
+    /// `None` for an unknown id and once a completed job has left it.
+    pub fn handle(&self, id: JobId) -> Option<JobHandle> {
+        let entry = lock(&self.inner.jobs).get(&id).cloned()?;
+        Some(self.handle_of(entry))
+    }
+
+    fn handle_of(&self, entry: Arc<JobEntry>) -> JobHandle {
         JobHandle {
-            server: self.clone(),
-            id,
+            _server: self.clone(),
+            id: entry.id,
+            entry,
         }
     }
 
-    fn entry(&self, id: JobId) -> Option<Arc<JobEntry>> {
-        lock(&self.inner.jobs).get(&id).cloned()
+    /// Entries in the job table: jobs in flight plus the cancelled and
+    /// failed ones kept for [`Self::resume`]. Completed jobs are not in it.
+    pub fn jobs_retained(&self) -> usize {
+        lock(&self.inner.jobs).len()
     }
 
-    /// A fresh handle onto a job's checkpoint medium (tests and external
-    /// tooling can open their own `CheckpointStore` over it).
+    /// A fresh handle onto the checkpoint medium of a job still in the
+    /// table (tests and external tooling can open their own
+    /// `CheckpointStore` over it).
     pub fn job_storage(&self, id: JobId) -> Option<Box<dyn Storage>> {
-        let entry = self.entry(id)?;
+        let entry = lock(&self.inner.jobs).get(&id).cloned()?;
         let medium = lock(&entry.storage);
         medium.clone_box()
     }
@@ -510,10 +533,11 @@ fn finish(inner: &Arc<ServerInner>, entry: &Arc<JobEntry>, status: JobStatus) {
             .journal
             .publish(Event::job_terminal(kind, entry.id.0, &entry.tenant, steps));
     }
+    let completed = status == JobStatus::Completed;
     {
         let mut st = lock(&entry.state);
         let now = Instant::now();
-        if status == JobStatus::Completed {
+        if completed {
             inner.metrics.observe(
                 "serve.job_e2e_ms",
                 ((now - st.submitted_at).as_secs_f64() * 1e3).ceil() as u64,
@@ -521,6 +545,11 @@ fn finish(inner: &Arc<ServerInner>, entry: &Arc<JobEntry>, status: JobStatus) {
         }
         st.status = status;
         st.finished_at = Some(now);
+    }
+    if completed {
+        // Nothing can run it again (`resume` refuses a completed job), so
+        // from here on only its handles keep it.
+        lock(&inner.jobs).remove(&entry.id);
     }
     inner.metrics.add(counter, 1);
     entry.notify.notify_waiters();
@@ -539,29 +568,28 @@ impl std::fmt::Debug for JobHandle {
     }
 }
 
-/// Client-side handle to one job.
+/// Client-side handle to one job. It shares the job's record with the
+/// server, so status, latencies, series and span tree of a completed job
+/// stay readable for as long as a handle (or stream) to it is held, and
+/// are freed with the last one.
 #[derive(Clone)]
 pub struct JobHandle {
-    server: QuenchServer,
+    /// Keeps the executor running while anyone waits on the job.
+    _server: QuenchServer,
+    entry: Arc<JobEntry>,
     /// The job's id.
     pub id: JobId,
 }
 
 impl JobHandle {
-    fn entry(&self) -> Arc<JobEntry> {
-        self.server
-            .entry(self.id)
-            .expect("job exists in this server")
-    }
-
     /// Current lifecycle state.
     pub fn status(&self) -> JobStatus {
-        lock(&self.entry().state).status.clone()
+        lock(&self.entry.state).status.clone()
     }
 
     /// Driver steps completed so far (across resumes).
     pub fn completed_steps(&self) -> u64 {
-        lock(&self.entry().state).completed_steps
+        lock(&self.entry.state).completed_steps
     }
 
     /// Client-visible latencies in milliseconds:
@@ -569,8 +597,7 @@ impl JobHandle {
     /// until the corresponding event has happened. The loadtest computes
     /// its p50/p99 from these per-job samples.
     pub fn latency_ms(&self) -> (Option<f64>, Option<f64>) {
-        let entry = self.entry();
-        let st = lock(&entry.state);
+        let st = lock(&self.entry.state);
         let ms = |i: Instant| (i - st.submitted_at).as_secs_f64() * 1e3;
         (st.first_record_at.map(ms), st.finished_at.map(ms))
     }
@@ -579,34 +606,33 @@ impl JobHandle {
     /// where the job task cuts a checkpoint before parking — so a
     /// cancelled job is always resumable from exactly where it stopped.
     pub fn cancel(&self) {
-        let entry = self.entry();
-        entry.cancel.store(true, Ordering::Release);
-        entry.notify.notify_waiters();
+        self.entry.cancel.store(true, Ordering::Release);
+        self.entry.notify.notify_waiters();
     }
 
     /// Request a durable checkpoint at the next slice boundary (without
     /// stopping the job).
     pub fn request_checkpoint(&self) {
-        self.entry().ckpt_requested.store(true, Ordering::Release);
+        self.entry.ckpt_requested.store(true, Ordering::Release);
     }
 
     /// The job's timeseries so far, as `landau-obs-timeseries/1` JSON.
     pub fn series_json(&self) -> String {
-        self.entry().series.snapshot().to_json_text()
+        self.entry.series.snapshot().to_json_text()
     }
 
     /// An incremental stream over the job's `landau-obs-timeseries/1`
     /// records, starting at record 0.
     pub fn stream(&self) -> RecordStream {
         RecordStream {
-            entry: self.entry(),
+            entry: self.entry.clone(),
             cursor: 0,
         }
     }
 
     /// Wait until the job reaches a terminal state and return it.
     pub async fn wait(&self) -> JobStatus {
-        let entry = self.entry();
+        let entry = &self.entry;
         loop {
             let notified = entry.notify.notified();
             let status = lock(&entry.state).status.clone();

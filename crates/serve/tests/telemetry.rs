@@ -166,3 +166,67 @@ fn journal_records_the_job_lifecycle_and_watchdog_stays_quiet() {
     let firings = server.check_slos().expect("record mode never errors");
     assert!(firings.is_empty(), "unexpected SLO firings: {firings:?}");
 }
+
+#[test]
+fn a_finished_job_is_let_go_with_its_last_handle() {
+    let _l = lock();
+    landau_obs::set_recording(true);
+    landau_obs::reset_spans();
+    let (server, _reg) = small_server(AlertMode::Record);
+    let submit = |name: String| {
+        server
+            .submit("acme", JobSpec::new(name, tiny_cfg(1)))
+            .expect("admitted")
+    };
+
+    // One completed job's handle is held through the whole flood.
+    let kept = submit("kept".into());
+    assert_eq!(block_on(kept.wait()), JobStatus::Completed);
+    let kept_series = kept.series_json();
+
+    // 300 jobs through an 8-deep client window, each handle dropped once
+    // its job is done. What the server and `landau-obs` keep per job must
+    // follow the window (plus the two workers' jobs between their terminal
+    // transition and task exit, plus `kept`), not the jobs ever served.
+    const WINDOW: usize = 8;
+    let bound = WINDOW + 2 + 1;
+    let mut window = std::collections::VecDeque::new();
+    for i in 0..300 {
+        if window.len() == WINDOW {
+            let h: landau_serve::JobHandle = window.pop_front().expect("non-empty");
+            assert_eq!(block_on(h.wait()), JobStatus::Completed);
+        }
+        window.push_back(submit(format!("flood-{i}")));
+        let (retained, traced) = (server.jobs_retained(), landau_obs::traced_jobs().len());
+        assert!(retained <= bound, "{retained} entries after {i} jobs");
+        assert!(traced <= bound, "{traced} span trees after {i} jobs");
+    }
+    for h in window {
+        assert_eq!(block_on(h.wait()), JobStatus::Completed);
+    }
+    server.drain();
+    assert_eq!(server.jobs_retained(), 0, "completed jobs leave the table");
+    assert!(
+        server.handle(kept.id).is_none(),
+        "lookup outlived the entry"
+    );
+
+    // The held handle still reads everything the job produced.
+    assert_eq!(kept.status(), JobStatus::Completed);
+    assert_eq!(kept.series_json(), kept_series);
+    assert!(kept_series.contains("landau-obs-timeseries/1"));
+    assert!(kept.latency_ms().1.is_some());
+    if landau_obs::recording_compiled() {
+        assert_eq!(landau_obs::traced_jobs(), vec![kept.id.0]);
+        let own = landau_obs::job_spans_snapshot(kept.id.0).count_of("serve_slice");
+        assert!(own >= 1, "the held job's span tree is gone");
+        // Retired trees were merged, not lost: the union still has every
+        // slice of every job.
+        let all = landau_obs::spans_snapshot().count_of("serve_slice");
+        assert_eq!(all, 301 * own, "retired span trees left the union");
+        drop(kept);
+        assert!(landau_obs::traced_jobs().is_empty());
+        assert_eq!(landau_obs::spans_snapshot().count_of("serve_slice"), all);
+    }
+    landau_obs::reset_spans();
+}
