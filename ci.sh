@@ -85,7 +85,7 @@ run_bench() {
   echo "== kernels bench (quick gates: cached CPU inner integral bitwise vs seven-stream reference + 2.5x; closed-form CPU kernel within 1e-13 of the per-pair reference + 2x)"
   cargo bench -q -p landau-bench --bench kernels -- --quick
 
-  echo "== live telemetry bench (quick gate: journal overhead + bitwise identity + scrape p99)"
+  echo "== live telemetry bench (quick gate: journal on/off bitwise identity + scrape validity)"
   cargo bench -q -p landau-bench --bench obs_live -- --quick
 
   echo "== landau-serve load test (quick: 200 jobs / 4 tenants, kill-resume + scrape/journal probes, retention marks)"

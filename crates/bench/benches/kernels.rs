@@ -54,7 +54,7 @@ fn bench<R>(name: &str, iters: usize, mut body: impl FnMut() -> R) {
 /// The cached comparison on the packed §V problem; returns its
 /// `BENCH_kernels.json` entries.
 fn cached_cpu_gate(ip: &IpData, sl: &SpeciesList) -> Vec<(String, f64)> {
-    let table = TensorTable::build(ip, usize::MAX);
+    let table = TensorTable::build(&ip.points, usize::MAX);
     let reference = SevenStreamTable::build(ip, true);
 
     let (new, _) = inner_integral_cpu_cached(ip, sl, &table);
@@ -84,7 +84,7 @@ fn cached_cpu_gate(ip: &IpData, sl: &SpeciesList) -> Vec<(String, f64)> {
 /// The closed-form comparison on the same problem; returns its
 /// `BENCH_kernels.json` entries.
 fn closed_form_cpu_gate(ip: &IpData, sl: &SpeciesList) -> Vec<(String, f64)> {
-    let table = TensorTable::build(ip, 0);
+    let table = TensorTable::build(&ip.points, 0);
 
     let (new, _) = inner_integral_cpu_cached(ip, sl, &table);
     let (reference, _) = inner_integral_cpu(ip, sl);
@@ -186,7 +186,7 @@ fn main() {
         inner_integral_kokkos_model(&ip, &sl, 16)
     });
 
-    let table = TensorTable::build(&ip, usize::MAX);
+    let table = TensorTable::build(&ip.points, usize::MAX);
     bench("inner_integral/cpu_cached", 10, || {
         inner_integral_cpu_cached(&ip, &sl, &table)
     });
@@ -196,7 +196,7 @@ fn main() {
     bench("inner_integral/kokkos_model_cached", 10, || {
         inner_integral_kokkos_cached(&ip, &sl, 16, &table, &PlainFactory)
     });
-    let recompute = TensorTable::build(&ip, 0);
+    let recompute = TensorTable::build(&ip.points, 0);
     bench("inner_integral/cpu_recompute", 10, || {
         inner_integral_cpu_cached(&ip, &sl, &recompute)
     });

@@ -37,7 +37,6 @@ use landau_core::ckpt::{decode_frame, encode_frame};
 use landau_core::fault_sites::SITE_LANDAU_JACOBIAN;
 use landau_core::operator::{AssemblyPath, Backend};
 use landau_core::solver::{ThetaMethod, TimeIntegrator};
-use landau_core::tensor_cache::DEFAULT_BUDGET_BYTES;
 use landau_core::{
     AdaptiveStepper, BatchedAdvance, CheckpointPolicy, ConservationMonitor, FaultKind, FaultPlan,
     MemStorage, Watchdog,
@@ -264,23 +263,20 @@ fn main() {
     // agree bit for bit.
     let base_op = perf_operator(80, Backend::Cpu);
     let mk = || {
-        BatchedAdvance::new_shared(
-            base_op.space.clone(),
+        BatchedAdvance::on(
+            base_op.geometry().clone(),
             &base_op.species,
             Backend::Cpu,
             1,
-            DEFAULT_BUDGET_BYTES,
         )
     };
     let ckpt_reg = Arc::new(MetricRegistry::new());
     let mut with_ck = mk();
     with_ck.set_metric_registry(Arc::clone(&ckpt_reg));
+    // Both arms sit on one geometry and so stream one tensor table: with a
+    // table each, where the two 62.5 MB allocations happen to land moves an
+    // arm by ±1.5 %, which is the whole ceiling.
     let mut no_ck = mk();
-    // Both arms stream one tensor table: with a table each, where the two
-    // 62.5 MB allocations happen to land moves an arm by ±1.5 %, which is
-    // the whole ceiling.
-    let shared = with_ck.tensor_table().expect("cache on by default").clone();
-    no_ck.stepper_mut(0).ti.op.set_tensor_table(shared);
     // Warm-up: build each batch's fused workspace outside the timed arms.
     with_ck.advance(dt, 1, 0.0);
     no_ck.advance(dt, 1, 0.0);

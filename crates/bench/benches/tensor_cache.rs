@@ -12,8 +12,8 @@
 //!      1.75× on the whole iteration, ~70 % of which is the band LU.
 //!      The cache must win by at least 1.4× (it was 9.6× while every
 //!      uncached pair ran 19 AGM passes instead of 4).
-//!   3. *Memory* — table footprint plus the heap a 256-vertex batched
-//!      advance saves by sharing one `FemSpace` instead of cloning it.
+//!   3. *Memory* — table footprint and the heap of the one `FemSpace` a
+//!      geometry holds.
 //!
 //! Plain timing harness (`harness = false`):
 //! `cargo bench -p landau-bench --bench tensor_cache -- --quick`.
@@ -60,7 +60,7 @@ fn main() {
     let mut ip = IpData::new(&op.space, &op.species);
     ip.pack(&op.space, &state);
     let n = ip.n;
-    let table = TensorTable::build(&ip, usize::MAX);
+    let table = TensorTable::build(&ip.points, usize::MAX);
     println!(
         "table: N = {n} integration points, {:.1} MiB ({:?})",
         table.table_bytes() as f64 / (1 << 20) as f64,
@@ -100,17 +100,13 @@ fn main() {
     json.push(("newton_per_sec_cached".into(), nps_c));
     json.push(("speedup".into(), speedup));
 
-    // --- Stage 3: batched-advance memory accounting -----------------------
+    // --- Stage 3: memory accounting ---------------------------------------
     let heap = op.space.approx_heap_bytes();
-    let saved_256 = heap * 255;
     println!(
-        "shared FemSpace: {:.2} MiB heap; 256-vertex batch saves {:.1} MiB \
-         vs per-vertex clones",
-        heap as f64 / (1 << 20) as f64,
-        saved_256 as f64 / (1 << 20) as f64
+        "shared FemSpace: {:.2} MiB heap",
+        heap as f64 / (1 << 20) as f64
     );
     json.push(("space_heap_bytes".into(), heap as f64));
-    json.push(("batch256_bytes_saved".into(), saved_256 as f64));
 
     let path = write_bench_json("BENCH_tensor_cache.json", &json);
     println!("wrote {}", path.display());

@@ -65,8 +65,7 @@ fn rule_for(name: &str) -> Rule {
         | "ckpt_frame_bytes"
         | "invariant.violations"
         | "table_bytes"
-        | "space_heap_bytes"
-        | "batch256_bytes_saved" => Rule::Exact,
+        | "space_heap_bytes" => Rule::Exact,
         "newton_iters" => Rule::RelTol(0.25),
         // Recovered-attempt counts track Newton behaviour, which shifts
         // with FP association across hosts; the bench itself asserts > 0.
@@ -74,14 +73,10 @@ fn rule_for(name: &str) -> Rule {
         // The quench step count depends on the quasi-equilibrium detector,
         // which can fire a step early/late across hosts.
         "invariant.steps" => Rule::RelTol(0.25),
-        // The span/metric recording, the conservation monitor, the
-        // per-step checkpoint writer and the event journal must each
-        // cost under 2% on the guarded solve (min-of-N ABAB
-        // measurements).
-        "obs_overhead_frac"
-        | "monitor_overhead_frac"
-        | "ckpt_overhead_frac"
-        | "obs.journal_overhead_frac" => Rule::Ceiling(0.02),
+        // The span/metric recording, the conservation monitor and the
+        // per-step checkpoint writer must each cost under 2% on the
+        // guarded solve (min-of-N ABAB measurements).
+        "obs_overhead_frac" | "monitor_overhead_frac" | "ckpt_overhead_frac" => Rule::Ceiling(0.02),
         // Any byte flip slipping past the frame checksums is a durability
         // defect — the corruption matrix gates at exactly zero.
         "ckpt_silent_restores" => Rule::Zero,
@@ -102,14 +97,21 @@ fn rule_for(name: &str) -> Rule {
         // every job must complete; the kill–resume probe must be bitwise.
         "serve.jobs_total" | "serve.jobs_completed" | "serve.tenants" => Rule::Exact,
         "serve.resume_bitwise_identical" => Rule::Floor(1.0),
-        // Latency ceilings: ~3× the single-core measurement (p50 ≈ 6 s
-        // with a 24-deep admission window on one core), absolute so a
-        // scheduling regression fails even if the baseline drifts with it.
-        "serve.p50_submit_to_first_ms" | "serve.p50_e2e_ms" => Rule::Ceiling(20_000.0),
-        "serve.p99_submit_to_first_ms" | "serve.p99_e2e_ms" => Rule::Ceiling(30_000.0),
-        // Throughput floor: the quick flood sustains ≈ 3.9 jobs/s on one
-        // core; 1.0 is the "something is badly wrong" line.
-        "serve.throughput_jobs_per_sec" => Rule::Floor(1.0),
+        // Latency, throughput, scrape time and journal cost are judged on
+        // every PR by the repository benchmark against A/A-derived bounds,
+        // not here: `serve_flood`'s `e2e_ms_p50`/`e2e_ms_p95` and
+        // `first_record_ms_p50` (latencies), `jobs_per_sec` (throughput,
+        // and the journal under real event volume: it is the one workload
+        // that runs it, with `obs.journal.drain_ms` per layer) and
+        // `serve.scrape_ms_p50`. The absolute bounds these five used to
+        // carry sat 50–400 000× from anything the code reaches.
+        "serve.p50_submit_to_first_ms"
+        | "serve.p50_e2e_ms"
+        | "serve.p99_submit_to_first_ms"
+        | "serve.p99_e2e_ms"
+        | "serve.throughput_jobs_per_sec"
+        | "serve.scrape_p99_ms"
+        | "obs.journal_overhead_frac" => Rule::Info,
         // Equal quotas and identical job mixes must spread slices evenly;
         // the measured spread is 0.00 and anything above 0.5 means the
         // fair scheduler is not doing its job.
@@ -126,11 +128,6 @@ fn rule_for(name: &str) -> Rule {
         // disabled arms land on the same bits, and every scrape under
         // load parses as OpenMetrics.
         "obs.journal_bitwise_identical" | "obs.scrape_valid" => Rule::Floor(1.0),
-        // Scrape wall time against a warm registry: the measured p99 is
-        // well under a millisecond; 250 ms is the "the scrape path grew
-        // a registry copy or allocation storm" line, absolute so a
-        // regression fails even if the baseline drifts with it.
-        "serve.scrape_p99_ms" => Rule::Ceiling(250.0),
         // Event volume tracks checkpoint cadence, which shifts with the
         // quick/full shape — informational.
         "obs.journal_events_published" => Rule::Info,

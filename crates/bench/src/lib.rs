@@ -46,7 +46,7 @@ pub fn perf_operator(ne_target: usize, backend: Backend) -> LandauOperator {
 /// Measure the real per-Newton-iteration operation profile by assembling
 /// the Jacobian and mass kernels once on the virtual device and reading
 /// back the counters; factor/solve FLOPs come from the band solver's cost
-/// model at the problem's RCM bandwidth.
+/// model at the bandwidth of the geometry's solver ordering.
 pub fn measured_profile(op: &mut LandauOperator) -> IterationProfile {
     op.device.reset_counters();
     let state = op.initial_state();
@@ -56,19 +56,9 @@ pub fn measured_profile(op: &mut LandauOperator) -> IterationProfile {
     let mass = op.device.kernel_stats("mass");
     let s = op.species.len();
     let n = op.n();
-    let _ = &jac;
-    // Bandwidth of the reordered block (best of RCM and geometric sweep,
-    // matching what the integrator uses).
-    let perm = landau_sparse::rcm::rcm_order(&op.mass);
-    let bw_rcm = landau_sparse::rcm::bandwidth(&op.mass.permute_symmetric(&perm));
-    let mut gperm: Vec<usize> = (0..n).collect();
-    gperm.sort_by(|&a, &b| {
-        let (ra, za) = op.space.dof_positions[a];
-        let (rb, zb) = op.space.dof_positions[b];
-        (za, ra).partial_cmp(&(zb, rb)).unwrap()
-    });
-    let bw_geo = landau_sparse::rcm::bandwidth(&op.mass.permute_symmetric(&gperm));
-    let bw = bw_rcm.min(bw_geo);
+    // Bandwidth of the reordered block, in the ordering the integrator
+    // solves in.
+    let bw = op.bandwidth();
     IterationProfile {
         kernel_flops: jac.flops,
         kernel_bytes: jac.dram_read + jac.dram_write,

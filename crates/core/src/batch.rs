@@ -12,7 +12,11 @@
 //! element) blocks, one lockstep banded LU over the lane SoA, one strided
 //! triangular solve — with a per-vertex active mask so converged and
 //! failed vertices retire without desynchronizing the rest (the sequel
-//! paper's batched-solver design). Per vertex the result is bitwise what
+//! paper's batched-solver design). The batch is built *on* one
+//! [`Geometry`]: every vertex's operator holds the same `Arc`, so mesh,
+//! ordering, band map and tensor table are shared by construction, and per
+//! vertex only the fields, counters and solver state are allocated. Per
+//! vertex the result is bitwise what
 //! that vertex's own [`AdaptiveStepper`] would produce alone;
 //! `landau_testkit::oracle::host_loop_advance` is that per-vertex loop, kept
 //! as the reference the tests compare against.
@@ -22,6 +26,7 @@ use crate::ckpt::{
     decode_fault_cursor, decode_stepper_ckpt, encode_fault_cursor, encode_stepper_ckpt, ByteReader,
     ByteWriter, CheckpointPolicy, CkptError, CkptHook, Storage,
 };
+use crate::geometry::Geometry;
 use crate::invariants::{ConservationMonitor, Watchdog};
 use crate::operator::{Backend, LandauOperator};
 use crate::recover::{AdaptiveStepper, RecoveryStats};
@@ -61,9 +66,9 @@ pub enum LaneMode {
 /// Version tag of the batched-advance checkpoint payload.
 const BATCH_CKPT_VERSION: u32 = 1;
 
-/// A batch of independent vertex problems sharing one configuration: one
-/// `Arc<FemSpace>` (no per-vertex mesh clones) and one `Arc<TensorTable>`
-/// geometry cache streamed by every vertex's Jacobian builds.
+/// A batch of independent vertex problems on one [`Geometry`]: one mesh,
+/// one ordering and one tensor table streamed by every vertex's Jacobian
+/// builds.
 pub struct BatchedAdvance {
     steppers: Vec<AdaptiveStepper>,
     /// One state per vertex.
@@ -259,52 +264,38 @@ impl BatchStats {
 }
 
 impl BatchedAdvance {
-    /// Build `n_vertices` independent problems on one shared space. Each
-    /// vertex gets a slightly different initial electron temperature, like
-    /// neighbouring spatial points of a profile.
+    /// Build `n_vertices` independent problems on a fresh geometry of
+    /// `space`. Each vertex gets a slightly different initial electron
+    /// density, like neighbouring spatial points of a profile.
     pub fn new(
         space: &FemSpace,
         species: &SpeciesList,
         backend: Backend,
         n_vertices: usize,
     ) -> Self {
-        Self::new_shared(
-            Arc::new(space.clone()),
-            species,
-            backend,
-            n_vertices,
-            DEFAULT_BUDGET_BYTES,
-        )
+        Self::on(Geometry::new(space.clone()), species, backend, n_vertices)
     }
 
-    /// Build the batch on an already shared space with an explicit tensor
-    /// cache budget. The geometry is identical across vertices, so *one*
-    /// table (built by the first vertex's operator) is streamed by all of
-    /// them — the cross-vertex reuse the paper's conclusion argues for.
-    pub fn new_shared(
-        space: Arc<FemSpace>,
+    /// Build the batch on an existing geometry. The first vertex's operator
+    /// builds the geometry's tensor table (unless an earlier batch on it
+    /// already has); every other vertex streams that one — the cross-vertex
+    /// reuse the paper's conclusion argues for.
+    pub fn on(
+        geom: Arc<Geometry>,
         species: &SpeciesList,
         backend: Backend,
         n_vertices: usize,
-        cache_budget_bytes: usize,
     ) -> Self {
         assert!(n_vertices > 0);
-        let mut table: Option<Arc<TensorTable>> = None;
-        let mut steppers: Vec<AdaptiveStepper> = Vec::with_capacity(n_vertices);
-        for _ in 0..n_vertices {
-            let mut op = LandauOperator::new_shared(space.clone(), species.clone(), backend);
-            match &table {
-                None => table = Some(op.enable_tensor_cache(cache_budget_bytes)),
-                Some(t) => op.set_tensor_table(t.clone()),
-            }
-            let mut ti = TimeIntegrator::new(op, ThetaMethod::BackwardEuler);
-            ti.rtol = 1e-6;
-            // One mesh, so one ordering: keep one band map for the batch.
-            if let Some(first) = steppers.first() {
-                ti.share_band_map(&first.ti);
-            }
-            steppers.push(AdaptiveStepper::new(ti));
-        }
+        let steppers: Vec<AdaptiveStepper> = (0..n_vertices)
+            .map(|_| {
+                let mut op = LandauOperator::on(Arc::clone(&geom), species.clone(), backend);
+                op.enable_tensor_cache(DEFAULT_BUDGET_BYTES);
+                let mut ti = TimeIntegrator::new(op, ThetaMethod::BackwardEuler);
+                ti.rtol = 1e-6;
+                AdaptiveStepper::new(ti)
+            })
+            .collect();
         let states: Vec<Vec<f64>> = steppers
             .iter()
             .enumerate()
@@ -365,9 +356,9 @@ impl BatchedAdvance {
         &self.steppers[0].ti.op.space
     }
 
-    /// The one shared geometry cache.
+    /// The one shared tile source (always `Some`).
     pub fn tensor_table(&self) -> Option<&Arc<TensorTable>> {
-        self.steppers[0].ti.op.tensor_table()
+        Some(self.steppers[0].ti.op.tensor_table())
     }
 
     /// The recovery wrapper for one vertex (tests and diagnostics).
@@ -379,12 +370,6 @@ impl BatchedAdvance {
     /// tolerances per vertex).
     pub fn stepper_mut(&mut self, v: usize) -> &mut AdaptiveStepper {
         &mut self.steppers[v]
-    }
-
-    /// Heap bytes the shared-space design avoids relative to per-vertex
-    /// `FemSpace` clones (the pre-cache constructor's behaviour).
-    pub fn space_bytes_saved(&self) -> usize {
-        self.space().approx_heap_bytes() * (self.len() - 1)
     }
 
     /// True if the batch is empty (never for constructed batches).
@@ -851,7 +836,7 @@ mod tests {
         // Vertex 0 evolved exactly as it would alone (the solo integrator
         // streams the same kind of geometry cache the batch shares).
         let mut op = LandauOperator::new(tiny_space(), plasma(), Backend::Cpu);
-        op.enable_tensor_cache(crate::tensor_cache::DEFAULT_BUDGET_BYTES);
+        op.enable_tensor_cache(DEFAULT_BUDGET_BYTES);
         let mut ti = TimeIntegrator::new(op, ThetaMethod::BackwardEuler);
         ti.rtol = 1e-6;
         let mut s = solo_state;
@@ -866,24 +851,24 @@ mod tests {
     }
 
     #[test]
-    fn space_and_table_are_shared_across_vertices() {
-        let space = tiny_space();
-        let batch = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 4);
-        let shared = batch.space();
-        let table = batch.tensor_table().expect("cache on by default");
+    fn every_vertex_and_the_workspace_sit_on_one_geometry() {
+        let mut batch = BatchedAdvance::new(&tiny_space(), &plasma(), Backend::Cpu, 64);
+        batch.advance(0.4, 1, 0.0);
+        let op0 = &batch.steppers[0].ti.op;
+        let ws = batch.fused_ws.as_ref().expect("built by the first advance");
+        assert!(Arc::ptr_eq(&ws.geom, op0.geometry()));
+        assert!(Arc::ptr_eq(batch.space(), &op0.space));
         for st in &batch.steppers {
-            assert!(
-                Arc::ptr_eq(shared, &st.ti.op.space),
-                "every vertex must hold the same FemSpace allocation"
-            );
-            assert!(
-                Arc::ptr_eq(table, st.ti.op.tensor_table().unwrap()),
-                "every vertex must stream the same tensor table"
-            );
+            // Not merely equal: the very same matrix, band map and table.
+            let op = &st.ti.op;
+            assert!(std::ptr::eq(&op0.mass, &op.mass));
+            assert!(std::ptr::eq(op0.band_map(), op.band_map()));
+            assert!(Arc::ptr_eq(op0.tensor_table(), op.tensor_table()));
         }
-        // 4 vertices: 3 clones avoided.
-        assert_eq!(batch.space_bytes_saved(), 3 * shared.approx_heap_bytes());
-        assert!(shared.approx_heap_bytes() > 0);
+        assert_eq!(
+            op0.tensor_table().mode(),
+            crate::tensor_cache::CacheMode::Cached
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!
 //! * [`FusedWorkspace`] holds the reusable per-batch storage: the
 //!   [`BatchedBandStorage`] (one band lane per live (vertex, species)
-//!   pair, compacted to the low lanes each round), the integrators'
-//!   CSR-entry → band-slot map, per-vertex matrix workspaces on the
-//!   shared pattern, and the SoA right-hand-side.
+//!   pair, compacted to the low lanes each round), the batch's one
+//!   [`Geometry`] (ordering, CSR-entry → band-slot map, pattern),
+//!   per-vertex matrix workspaces on that pattern, and the SoA
+//!   right-hand-side.
 //! * [`fused_macro_step`] advances every vertex by one macro step of `dt`
 //!   with a per-vertex active mask: converged and failed vertices retire
 //!   from subsequent fused launches without desynchronizing the rest.
@@ -30,13 +31,13 @@
 //! vertex stepping alone takes, so the whole batch state is bitwise equal
 //! to the per-vertex reference (`landau_testkit::oracle::host_loop_advance`).
 
+use crate::geometry::Geometry;
 use crate::kernels;
 use crate::operator::Backend;
 use crate::recover::{AdaptiveStepper, RecoveryFailure, RecoveryStats};
 use crate::solver::{
     all_finite, NewtonLane, NonFiniteSite, ResidualScratch, SolveError, StepStats,
 };
-use landau_sparse::band::BandMap;
 use landau_sparse::csr::Csr;
 use landau_sparse::vecops;
 use landau_sparse::BatchedBandStorage;
@@ -68,9 +69,9 @@ pub(crate) struct FusedCounters {
 }
 
 /// Reusable storage for the fused batched pipeline. Built once per batch
-/// (all vertices share one mesh, species list, ordering and bandwidth)
-/// and reused across every Newton iteration of every macro step, so the
-/// inner loop allocates nothing.
+/// (all vertices sit on one geometry and share a species list) and reused
+/// across every Newton iteration of every macro step, so the inner loop
+/// allocates nothing.
 pub(crate) struct FusedWorkspace {
     /// Dofs per species block.
     n: usize,
@@ -78,11 +79,9 @@ pub(crate) struct FusedWorkspace {
     ns: usize,
     /// Band lanes (`n_vertices · ns`), fixed for the life of the batch.
     n_lanes: usize,
-    /// Pattern entry → band slot, shared by every lane (one pattern and
-    /// one ordering per batch): vertex 0's integrator's map.
-    map: Arc<BandMap>,
-    /// The solver ordering (copy of the integrators' shared permutation).
-    perm: Vec<usize>,
+    /// The geometry every vertex sits on: its ordering and its pattern
+    /// entry → band slot map serve every lane.
+    pub(crate) geom: Arc<Geometry>,
     /// The lane-minor SoA band storage.
     band: BatchedBandStorage,
     /// SoA right-hand-side / solution: `x_soa[i * n_lanes + m]`.
@@ -97,29 +96,28 @@ pub(crate) struct FusedWorkspace {
 }
 
 impl FusedWorkspace {
-    /// Build the workspace for a batch of `steppers` (one per vertex).
-    /// All vertices must share mesh, ordering and bandwidth — guaranteed
-    /// by the batch constructor, asserted here.
+    /// Build the workspace for a batch of `steppers` (one per vertex), all
+    /// on one geometry — how the batch constructor builds them.
     pub(crate) fn new(steppers: &[AdaptiveStepper]) -> Self {
-        let ti0 = &steppers[0].ti;
-        let n = ti0.op.n();
-        let ns = ti0.op.species.len();
+        let geom = Arc::clone(steppers[0].ti.op.geometry());
+        assert!(
+            steppers
+                .iter()
+                .all(|st| Arc::ptr_eq(st.ti.op.geometry(), &geom)),
+            "batch vertices must sit on one geometry"
+        );
+        let n = geom.space.n_dofs;
+        let ns = steppers[0].ti.op.species.len();
         let n_lanes = steppers.len() * ns;
-        let bw = ti0.block_bandwidth;
-        for st in steppers {
-            assert_eq!(st.ti.perm, ti0.perm, "batch vertices must share ordering");
-            assert_eq!(st.ti.block_bandwidth, bw);
-        }
-        let band = BatchedBandStorage::from_map(&ti0.band_map, n_lanes);
+        let band = BatchedBandStorage::from_map(geom.band_map(), n_lanes);
         let mats = (0..steppers.len())
-            .map(|_| vec![ti0.op.pattern().clone(); ns])
+            .map(|_| vec![geom.pattern.clone(); ns])
             .collect();
         FusedWorkspace {
             n,
             ns,
             n_lanes,
-            map: Arc::clone(&ti0.band_map),
-            perm: ti0.perm.clone(),
+            geom,
             band,
             x_soa: vec![0.0; n * n_lanes],
             mats,
@@ -131,7 +129,7 @@ impl FusedWorkspace {
     /// Approximate heap footprint (diagnostics).
     pub(crate) fn approx_heap_bytes(&self) -> usize {
         self.band.approx_heap_bytes()
-            + (self.x_soa.len() + 2 * self.map.slots().len()) * 8
+            + self.x_soa.len() * 8
             + self.mats.len() * self.ns * self.mats[0][0].vals.len() * 8
     }
 
@@ -142,10 +140,12 @@ impl FusedWorkspace {
     /// fill-in into band slots the sparse pattern leaves untouched.
     fn fill_vertex(&mut self, v: usize, dst: usize, mass: &Csr, neg_gamma: f64) {
         let FusedWorkspace {
-            band, mats, map, ..
+            band, mats, geom, ..
         } = self;
         for (a, la) in mats[v].iter().enumerate() {
-            band.fill_lane(dst + a, map, |o| mass.vals[o] + neg_gamma * la.vals[o]);
+            band.fill_lane(dst + a, geom.band_map(), |o| {
+                mass.vals[o] + neg_gamma * la.vals[o]
+            });
         }
     }
 }
@@ -189,16 +189,14 @@ pub(crate) fn fused_macro_step(
         return outcomes;
     }
 
-    // Shared launch configuration: the batch constructor guarantees every
-    // vertex holds the same backend, blocking and shared tensor table.
+    // Shared launch configuration: the batch constructor gives every vertex
+    // the same backend and species on one geometry, hence one blocking and
+    // one tensor table.
     let op0 = &steppers[lockstep[0]].ti.op;
     let backend = op0.backend;
     let dim_x = op0.dim_x;
     let species = op0.species.clone();
-    let table = op0
-        .tensor_table()
-        .expect("fused batch requires the shared tensor cache")
-        .clone();
+    let table = Arc::clone(op0.tensor_table());
 
     let sp_step = landau_obs::span(landau_obs::names::STEP);
 
@@ -238,9 +236,7 @@ pub(crate) fn fused_macro_step(
         let t_kernel = Instant::now();
         for &k in &live {
             let v = lockstep[k];
-            let op = &mut steppers[v].ti.op;
-            let space = op.space.clone();
-            op.ipdata.pack(&space, &states[v]);
+            steppers[v].ti.op.ipdata.pack(&ws.geom.space, &states[v]);
         }
         let active: Vec<bool> = lanes.iter().map(NewtonLane::live).collect();
         let (mut coeffs, tallies) = {
@@ -276,7 +272,7 @@ pub(crate) fn fused_macro_step(
         for &k in &live {
             let v = lockstep[k];
             let t0 = Instant::now();
-            let op = &mut steppers[v].ti.op;
+            let op = &steppers[v].ti.op;
             // Seeded fault injection: same per-device poll cadence as the
             // per-vertex `assemble` (one poll per lane per iteration).
             if let Some(f) = op
@@ -379,12 +375,13 @@ pub(crate) fn fused_macro_step(
         let sp_bs = landau_obs::span(landau_obs::names::BATCH_SOLVE);
         let sp_s = landau_obs::span(landau_obs::names::SOLVE);
         let t_solve = Instant::now();
+        let perm = ws.geom.perm();
         for &k in &live {
             let lane = &lanes[k];
             for a in 0..ws.ns {
                 let m = cpos[k] + a;
-                for i in 0..ws.n {
-                    ws.x_soa[i * ws.n_lanes + m] = lane.r[a * ws.n + ws.perm[i]];
+                for (i, &p) in perm.iter().enumerate() {
+                    ws.x_soa[i * ws.n_lanes + m] = lane.r[a * ws.n + p];
                 }
             }
         }
@@ -399,8 +396,8 @@ pub(crate) fn fused_macro_step(
             let d = &mut ws.d;
             for a in 0..ws.ns {
                 let m = cpos[k] + a;
-                for i in 0..ws.n {
-                    d[a * ws.n + ws.perm[i]] = ws.x_soa[i * ws.n_lanes + m];
+                for (i, &p) in perm.iter().enumerate() {
+                    d[a * ws.n + p] = ws.x_soa[i * ws.n_lanes + m];
                 }
             }
             // Fused-only solve site: corrupt the Newton update before the

@@ -6,26 +6,56 @@
 //! coordinates `r`, `z`, combined weights `w = w_q |J| r` (so the cylindrical
 //! measure is folded in), and per species the field values `f` and
 //! gradients `df` — transposed into structure-of-arrays for coalesced
-//! streaming.
+//! streaming. The points depend on the mesh alone ([`IpPoints`], one per
+//! [`crate::geometry::Geometry`]); the field arrays are per operator.
 
 use crate::species::SpeciesList;
 use landau_fem::FemSpace;
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// The packed data streamed by the Landau kernels.
-#[derive(Clone, Debug)]
-pub struct IpData {
+/// The integration points of one mesh, packed once and shared by every
+/// [`IpData`] and [`crate::tensor_cache::TensorTable`] on it.
+#[derive(Debug)]
+pub struct IpPoints {
     /// Total integration points `N = N_e N_q`.
     pub n: usize,
     /// Points per element `N_q`.
     pub nq: usize,
-    /// Species count `S`.
-    pub ns: usize,
     /// Radial coordinate of each point.
     pub r: Vec<f64>,
     /// Axial coordinate of each point.
     pub z: Vec<f64>,
     /// Combined quadrature weight `w_q |J| r` of each point.
     pub w: Vec<f64>,
+}
+
+impl IpPoints {
+    /// Pack the points of `space`.
+    pub fn new(space: &FemSpace) -> Self {
+        let nq = space.tab.nq;
+        let n = space.n_ip();
+        let (mut r, mut z, mut w) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        for (e, el) in space.elements.iter().enumerate() {
+            for q in 0..nq {
+                let gi = e * nq + q;
+                let (xi, eta) = space.tab.quad.points[q];
+                (r[gi], z[gi]) = el.map_point(xi, eta);
+                w[gi] = space.tab.quad.weights[q] * el.det_j() * r[gi];
+            }
+        }
+        IpPoints { n, nq, r, z, w }
+    }
+}
+
+/// The packed data streamed by the Landau kernels: the mesh's points
+/// (read through `Deref`: `ip.n`, `ip.r[gi]`, …) and one state's fields.
+#[derive(Clone, Debug)]
+pub struct IpData {
+    /// The integration points.
+    pub points: Arc<IpPoints>,
+    /// Species count `S`.
+    pub ns: usize,
     /// Field values, species-major: `f[s * n + gi]`.
     pub f: Vec<f64>,
     /// Radial derivatives, species-major.
@@ -34,38 +64,29 @@ pub struct IpData {
     pub dfz: Vec<f64>,
 }
 
+impl Deref for IpData {
+    type Target = IpPoints;
+
+    fn deref(&self) -> &IpPoints {
+        &self.points
+    }
+}
+
 impl IpData {
     /// Allocate for a space/species pair (values filled by [`IpData::pack`]).
     pub fn new(space: &FemSpace, species: &SpeciesList) -> Self {
-        let n = space.n_ip();
-        let ns = species.len();
-        let mut ip = IpData {
-            n,
-            nq: space.tab.nq,
-            ns,
-            r: vec![0.0; n],
-            z: vec![0.0; n],
-            w: vec![0.0; n],
-            f: vec![0.0; ns * n],
-            dfr: vec![0.0; ns * n],
-            dfz: vec![0.0; ns * n],
-        };
-        ip.pack_geometry(space);
-        ip
+        Self::on(Arc::new(IpPoints::new(space)), species.len())
     }
 
-    /// Fill the static geometry arrays (`r`, `z`, `w`) — done once per mesh.
-    pub fn pack_geometry(&mut self, space: &FemSpace) {
-        let nq = space.tab.nq;
-        for (e, el) in space.elements.iter().enumerate() {
-            for q in 0..nq {
-                let gi = e * nq + q;
-                let (xi, eta) = space.tab.quad.points[q];
-                let (r, z) = el.map_point(xi, eta);
-                self.r[gi] = r;
-                self.z[gi] = z;
-                self.w[gi] = space.tab.quad.weights[q] * el.det_j() * r;
-            }
+    /// Allocate `ns` species' fields over already packed points.
+    pub fn on(points: Arc<IpPoints>, ns: usize) -> Self {
+        let len = ns * points.n;
+        IpData {
+            points,
+            ns,
+            f: vec![0.0; len],
+            dfr: vec![0.0; len],
+            dfz: vec![0.0; len],
         }
     }
 
@@ -75,6 +96,7 @@ impl IpData {
     pub fn pack(&mut self, space: &FemSpace, state: &[f64]) {
         let nd = space.n_dofs;
         assert_eq!(state.len(), self.ns * nd);
+        let n = self.n;
         let nq = space.tab.nq;
         let nb = space.tab.nb;
         let mut local = vec![0.0; nb];
@@ -100,9 +122,9 @@ impl IpData {
                         gr += dx[jb] * c;
                         gz += dy[jb] * c;
                     }
-                    self.f[s * self.n + gi] = v;
-                    self.dfr[s * self.n + gi] = gs * gr;
-                    self.dfz[s * self.n + gi] = gs * gz;
+                    self.f[s * n + gi] = v;
+                    self.dfr[s * n + gi] = gs * gr;
+                    self.dfz[s * n + gi] = gs * gz;
                 }
             }
         }

@@ -1168,7 +1168,7 @@ mod tests {
     #[test]
     fn cached_backends_agree_with_reference() {
         let (_space, sl, ip) = setup();
-        let table = TensorTable::build(&ip, usize::MAX);
+        let table = TensorTable::build(&ip.points, usize::MAX);
         let (cpu, t_ref) = inner_integral_cpu(&ip, &sl);
         let (ccpu, t_cc) = inner_integral_cpu_cached(&ip, &sl, &table);
         let (ccuda, t_cu) = inner_integral_cuda_model_cached(&ip, &sl, 16, &table);
@@ -1196,8 +1196,8 @@ mod tests {
     #[test]
     fn cached_kernels_match_under_forced_recompute() {
         let (_space, sl, ip) = setup();
-        let full = TensorTable::build(&ip, usize::MAX);
-        let re = TensorTable::build(&ip, 0);
+        let full = TensorTable::build(&ip.points, usize::MAX);
+        let re = TensorTable::build(&ip.points, 0);
         let (a, _) = inner_integral_cpu_cached(&ip, &sl, &full);
         let (b, t_re) = inner_integral_cpu_cached(&ip, &sl, &re);
         // Identical streaming arithmetic either side: bitwise equal.
@@ -1218,7 +1218,7 @@ mod tests {
     #[test]
     fn batched_cached_kernels_match_per_lane_bitwise() {
         let (space, sl, ip) = setup();
-        let table = TensorTable::build(&ip, usize::MAX);
+        let table = TensorTable::build(&ip.points, usize::MAX);
         // A second lane with a different packed state so the lanes are
         // distinguishable and cross-lane bleed would be caught.
         let nd = space.n_dofs;
@@ -1262,7 +1262,7 @@ mod tests {
     #[test]
     fn batched_kernel_skips_inactive_lanes() {
         let (_space, sl, ip) = setup();
-        let table = TensorTable::build(&ip, usize::MAX);
+        let table = TensorTable::build(&ip.points, usize::MAX);
         let ips = [&ip, &ip];
         let (out, tallies) = inner_integral_batched_cpu_cached(&ips, &[true, false], &sl, &table);
         assert!(out[1].gk.iter().flatten().all(|&v| v == 0.0));

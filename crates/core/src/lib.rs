@@ -9,6 +9,9 @@
 //!   elliptic integrals;
 //! * [`ipdata`] — the packed structure-of-arrays integration-point data
 //!   (`r`, `z`, `w`, `f`, `df`) that the kernels stream;
+//! * [`geometry`] — everything the mesh alone determines (space, mass and
+//!   advection matrices, pattern, solver ordering and band map, integration
+//!   points, tensor tables), built once and shared through one `Arc`;
 //! * [`kernels`] — Algorithm 1 in three styles: plain CPU loops, the CUDA
 //!   programming model (strided inner loop + warp-shuffle reduction), and
 //!   the Kokkos model (league/team/vector with generic `parallel_reduce`),
@@ -17,8 +20,8 @@
 //! * [`tensor_cache`] — the geometry-invariant tiled `TensorTable` cache
 //!   that amortizes the elliptic-integral tensor evaluations across Newton
 //!   iterations, time steps and batch vertices;
-//! * [`operator`] — the multi-species Landau operator: Jacobian assembly,
-//!   electric-field advection, block-diagonal structure;
+//! * [`operator`] — the multi-species Landau operator on a geometry:
+//!   Jacobian assembly, electric-field advection, block-diagonal structure;
 //! * [`moments`] — density, z-momentum, energy, current and temperature
 //!   functionals (the conserved quantities of the discretization);
 //! * [`solver`] — implicit time integration (backward Euler / θ-method)
@@ -39,6 +42,7 @@
 pub mod batch;
 pub(crate) mod batch_fused;
 pub mod ckpt;
+pub mod geometry;
 pub mod invariants;
 pub mod ipdata;
 pub mod kernels;
@@ -67,6 +71,7 @@ pub use ckpt::{
     CheckpointPolicy, CheckpointStore, CkptError, DirStorage, FaultyStorage, MemStorage, Storage,
     StorageFault, StorageFaultKind,
 };
+pub use geometry::Geometry;
 pub use invariants::{
     ConservationMonitor, Invariant, InvariantReport, StepContext, Watchdog, WatchdogMode,
 };

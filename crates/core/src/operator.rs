@@ -1,7 +1,9 @@
 //! The multi-species Landau operator.
 //!
-//! Wraps one shared velocity grid, the species list, and the kernel
-//! back-end into the object the time integrator drives. The assembled
+//! A [`Geometry`] (everything the mesh alone determines, shared by `Arc`),
+//! the species list, the kernel back-end and this instance's own state —
+//! packed fields, device counters, the tile source in use — make the object
+//! the time integrator drives. The assembled
 //! operator is the approximate linearization of §III: `D(f, v̄)` and
 //! `K(f, v̄)` frozen at the current state and discretized with standard
 //! finite elements — so `L(f) f = C(f)` exactly (the Landau operator is
@@ -10,14 +12,16 @@
 //! The multi-species matrix is block diagonal (`I_{S×S} ⊗ A_1` pattern):
 //! one CSR block per species, all sharing a pattern.
 
+use crate::geometry::Geometry;
 use crate::ipdata::IpData;
 use crate::kernels;
 use crate::species::SpeciesList;
-use crate::tensor_cache::TensorTable;
-use landau_fem::{assemble_dz_matrix, assemble_mass_matrix, csr_pattern, FemSpace};
+use crate::tensor_cache::{CacheMode, TensorTable};
+use landau_fem::FemSpace;
 use landau_sparse::csr::Csr;
 use landau_vgpu::kokkos::PlainFactory;
 use landau_vgpu::{Device, DeviceSpec, Tally};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Which kernel implementation assembles the Jacobian.
@@ -61,11 +65,11 @@ impl AssembledOperator {
     }
 }
 
-/// The Landau operator on one shared grid.
+/// The Landau operator on one shared grid. The mesh-only data (`space`,
+/// `mass`, `dz`, `dim_x`, ordering, band map) is read through `Deref` from
+/// the [`Geometry`].
 pub struct LandauOperator {
-    /// The finite-element space (shared by all species, and — via the `Arc`
-    /// — across batch vertices without per-vertex clones).
-    pub space: Arc<FemSpace>,
+    pub(crate) geom: Arc<Geometry>,
     /// The plasma composition.
     pub species: SpeciesList,
     /// Kernel back-end.
@@ -74,108 +78,62 @@ pub struct LandauOperator {
     pub assembly: AssemblyPath,
     /// Virtual device carrying the performance counters.
     pub device: Arc<Device>,
-    /// The r-weighted mass matrix (single species block, no 2π).
-    pub mass: Csr,
-    /// The z-advection template `∫ r ψ ∂_z φ`.
-    pub dz: Csr,
-    pattern: Csr,
     /// Reusable packed integration-point data.
     pub ipdata: IpData,
-    /// `blockDim.x` for the CUDA model / vector length for Kokkos.
-    pub dim_x: usize,
-    /// Element color batches (built lazily for the `Colored` path).
-    color_batches: Option<Vec<Vec<usize>>>,
-    /// Geometry-invariant tensor cache; when set, `assemble` streams the
-    /// tiled kernels instead of re-evaluating the Landau tensors per pair.
-    tensor_table: Option<Arc<TensorTable>>,
-    /// The zero-budget (`Recompute`) table [`Backend::Cpu`] folds over while
-    /// no cache is set: geometry only, built by the first assembly that
-    /// needs it (the lanes of a batch share a resident table and hold none).
-    closed_form: Option<Arc<TensorTable>>,
+    /// The tile source `assemble` folds over: the geometry's recomputing
+    /// source until [`Self::enable_tensor_cache`] adopts its resident table.
+    table: Arc<TensorTable>,
+}
+
+impl Deref for LandauOperator {
+    type Target = Geometry;
+
+    fn deref(&self) -> &Geometry {
+        &self.geom
+    }
 }
 
 impl LandauOperator {
-    /// Build the operator over a space with the given species and backend.
+    /// Build the operator over a space with the given species and backend,
+    /// on a fresh geometry of its own.
     pub fn new(space: FemSpace, species: SpeciesList, backend: Backend) -> Self {
-        Self::new_shared(Arc::new(space), species, backend)
+        Self::on(Geometry::new(space), species, backend)
     }
 
-    /// Build the operator over an already shared space (no mesh clone) —
-    /// the constructor batched advances use so hundreds of vertices hold
-    /// one `FemSpace` allocation.
-    pub fn new_shared(space: Arc<FemSpace>, species: SpeciesList, backend: Backend) -> Self {
-        let device = Arc::new(Device::new(DeviceSpec::v100()));
-        let mass = assemble_mass_matrix(&space);
-        let dz = assemble_dz_matrix(&space);
-        let pattern = csr_pattern(&space);
-        let ipdata = IpData::new(&space, &species);
-        // The paper: largest power of two with dim_x · N_q ≤ 256.
-        let nq = space.tab.nq;
-        let mut dim_x = 1usize;
-        while dim_x * 2 * nq <= 256 {
-            dim_x *= 2;
-        }
+    /// Build the operator on an existing geometry: nothing mesh-only is
+    /// rebuilt, so the vertices of a batch (or any operators with different
+    /// species and backends) share one mesh, ordering and table.
+    pub fn on(geom: Arc<Geometry>, species: SpeciesList, backend: Backend) -> Self {
         LandauOperator {
-            space,
+            ipdata: IpData::on(Arc::clone(&geom.points), species.len()),
+            table: Arc::clone(&geom.recompute),
+            device: Arc::new(Device::new(DeviceSpec::v100())),
+            assembly: AssemblyPath::SetValues,
+            geom,
             species,
             backend,
-            assembly: AssemblyPath::SetValues,
-            device,
-            mass,
-            dz,
-            pattern,
-            ipdata,
-            dim_x,
-            color_batches: None,
-            tensor_table: None,
-            closed_form: None,
         }
     }
 
-    /// Build (and adopt) the geometry cache for this operator's mesh under
-    /// the given byte budget, recording the build on the device's
-    /// `tensor_table_build` counter. Returns the shared handle so callers
-    /// can pass it to sibling operators ([`Self::set_tensor_table`]).
+    /// The geometry this operator sits on.
+    pub fn geometry(&self) -> &Arc<Geometry> {
+        &self.geom
+    }
+
+    /// Stream the geometry's tensor table under the given byte budget (see
+    /// [`Geometry::tensor_table`]: built once per geometry, recomputed per
+    /// tile when it does not fit). Returns the tile source now in use.
     ///
     /// Not enabled by default: the closed-form path is the reference both
     /// for correctness and for the paper's arithmetic-intensity tables.
     pub fn enable_tensor_cache(&mut self, budget_bytes: usize) -> Arc<TensorTable> {
-        let table = TensorTable::build(&self.ipdata, budget_bytes);
-        self.device.record_launch(
-            "tensor_table_build",
-            &table.build_tally(),
-            self.ipdata.n as u64,
-        );
-        self.tensor_table = Some(table.clone());
-        table
+        self.table = self.geom.tensor_table(budget_bytes, &self.device);
+        Arc::clone(&self.table)
     }
 
-    /// Adopt a cache built elsewhere (e.g. by a sibling vertex operator on
-    /// the same mesh). Panics if the table's geometry does not match.
-    pub fn set_tensor_table(&mut self, table: Arc<TensorTable>) {
-        assert!(
-            table.matches(&self.ipdata),
-            "tensor table geometry does not match this operator's mesh"
-        );
-        self.tensor_table = Some(table);
-    }
-
-    /// The adopted geometry cache, if any.
-    pub fn tensor_table(&self) -> Option<&Arc<TensorTable>> {
-        self.tensor_table.as_ref()
-    }
-
-    /// Drop the geometry cache, returning to the closed-form path.
-    pub fn clear_tensor_cache(&mut self) {
-        self.tensor_table = None;
-    }
-
-    /// The shared CSR sparsity pattern (one species block). The fused
-    /// batch orchestrator clones this once per lane for its reusable
-    /// matrix workspace instead of calling `assemble` (which would
-    /// allocate fresh matrices every Newton iteration).
-    pub(crate) fn pattern(&self) -> &Csr {
-        &self.pattern
+    /// The tile source in use.
+    pub fn tensor_table(&self) -> &Arc<TensorTable> {
+        &self.table
     }
 
     /// Dofs per species.
@@ -206,37 +164,29 @@ impl LandauOperator {
     pub fn assemble(&mut self, state: &[f64], e_field: f64) -> AssembledOperator {
         let _sp = landau_obs::span(landau_obs::names::JACOBIAN_BUILD);
         assert_eq!(state.len(), self.n_total());
-        self.ipdata.pack(&self.space, state);
+        self.ipdata.pack(&self.geom.space, state);
         let sp_kernel = landau_obs::span(landau_obs::names::KERNEL);
-        let (mut coeffs, tally) = match (&self.tensor_table, self.backend) {
+        let (ip, species, dim_x, table) = (&self.ipdata, &self.species, self.dim_x, &self.table);
+        let resident = table.mode() == CacheMode::Cached;
+        let (mut coeffs, tally) = match self.backend {
             // One fold body, whether a tile comes from memory or the closed form.
-            (table, Backend::Cpu) => kernels::inner_integral_cpu_cached(
-                &self.ipdata,
-                &self.species,
-                table.as_ref().unwrap_or_else(|| {
-                    self.closed_form
-                        .get_or_insert_with(|| TensorTable::build(&self.ipdata, 0))
-                }),
-            ),
-            (None, Backend::CudaModel) => {
-                kernels::inner_integral_cuda_model(&self.ipdata, &self.species, self.dim_x)
+            Backend::Cpu => kernels::inner_integral_cpu_cached(ip, species, table),
+            // The device models stream a resident table; without one they
+            // run Algorithm 1, which recomputes every pair as written.
+            Backend::CudaModel => {
+                if resident {
+                    kernels::inner_integral_cuda_model_cached(ip, species, dim_x, table)
+                } else {
+                    kernels::inner_integral_cuda_model(ip, species, dim_x)
+                }
             }
-            (None, Backend::KokkosModel) => {
-                kernels::inner_integral_kokkos_model(&self.ipdata, &self.species, self.dim_x)
+            Backend::KokkosModel => {
+                if resident {
+                    kernels::inner_integral_kokkos_cached(ip, species, dim_x, table, &PlainFactory)
+                } else {
+                    kernels::inner_integral_kokkos_model(ip, species, dim_x)
+                }
             }
-            (Some(t), Backend::CudaModel) => kernels::inner_integral_cuda_model_cached(
-                &self.ipdata,
-                &self.species,
-                self.dim_x,
-                t,
-            ),
-            (Some(t), Backend::KokkosModel) => kernels::inner_integral_kokkos_cached(
-                &self.ipdata,
-                &self.species,
-                self.dim_x,
-                t,
-                &PlainFactory,
-            ),
         };
         // Seeded fault injection (resilience tests): corrupt one lane of
         // the kernel output when a plan armed on this device is due. With
@@ -249,7 +199,7 @@ impl LandauOperator {
         }
         drop(sp_kernel);
         let ns = self.species.len();
-        let mut mats = vec![self.pattern.clone(); ns];
+        let mut mats = vec![self.geom.pattern.clone(); ns];
         self.assemble_tail(&coeffs, tally, &mut mats, e_field);
         AssembledOperator { mats }
     }
@@ -262,7 +212,7 @@ impl LandauOperator {
     /// fused batch orchestrator can run the per-lane tail after *one*
     /// batched inner-integral launch has produced every lane's `coeffs`.
     pub(crate) fn assemble_tail(
-        &mut self,
+        &self,
         coeffs: &kernels::IpCoeffs,
         mut tally: Tally,
         mats: &mut [Csr],
@@ -271,28 +221,24 @@ impl LandauOperator {
         let ns = self.species.len();
         assert_eq!(mats.len(), ns);
         let sp_kernel = landau_obs::span(landau_obs::names::KERNEL);
-        let (ce, t2) =
-            kernels::landau_element_matrices(&self.space, &self.species, &self.ipdata, coeffs);
+        let space = &*self.geom.space;
+        let (ce, t2) = kernels::landau_element_matrices(space, &self.species, &self.ipdata, coeffs);
         drop(sp_kernel);
         tally.merge(&t2);
         let sp_assembly = landau_obs::span(landau_obs::names::ASSEMBLY);
         match self.assembly {
-            AssemblyPath::SetValues => kernels::assemble_setvalues(&self.space, ns, &ce, mats),
+            AssemblyPath::SetValues => kernels::assemble_setvalues(space, ns, &ce, mats),
             AssemblyPath::Atomic => {
-                let t3 = kernels::assemble_atomic(&self.space, ns, &ce, mats);
+                let t3 = kernels::assemble_atomic(space, ns, &ce, mats);
                 tally.merge(&t3);
             }
             AssemblyPath::Colored => {
-                let batches = self.color_batches.get_or_insert_with(|| {
-                    let (colors, nc) = landau_fem::coloring::color_elements(&self.space);
-                    landau_fem::coloring::color_batches(&colors, nc)
-                });
-                kernels::assemble_colored(&self.space, ns, &ce, mats, batches);
+                kernels::assemble_colored(space, ns, &ce, mats, self.geom.color_batches());
             }
         }
         drop(sp_assembly);
         self.device
-            .record_launch("landau_jacobian", &tally, self.space.n_elements() as u64);
+            .record_launch("landau_jacobian", &tally, space.n_elements() as u64);
         // Electric-field advection: RHS gets −(ẽ/m̃) Ẽ ∂_z f.
         if e_field != 0.0 {
             for (s, sp) in self.species.list.iter().enumerate() {
@@ -308,7 +254,7 @@ impl LandauOperator {
         let _sp = landau_obs::span(landau_obs::names::MASS_BUILD);
         let ns = self.species.len();
         let (ce, tally) = kernels::mass_element_matrices(&self.space, ns, &self.ipdata, shift);
-        let mut mats = vec![self.pattern.clone()];
+        let mut mats = vec![self.geom.pattern.clone()];
         // Assemble only the first species block (they are identical).
         let nb = self.space.tab.nb;
         let block = ns * nb * nb;

@@ -154,7 +154,7 @@ impl VerifyInput {
             state[s * nd..(s + 1) * nd].copy_from_slice(&v);
         }
         ip.pack(&space, &state);
-        let table = TensorTable::build(&ip, usize::MAX);
+        let table = TensorTable::build(&ip.points, usize::MAX);
         VerifyInput {
             space,
             species,

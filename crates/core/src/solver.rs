@@ -7,14 +7,15 @@
 //! (`J = M − Δt θ L(f_k)`, fully recomputed each iteration, §III) and each
 //! species' block solves independently with the banded LU after RCM
 //! reordering (§III-G) — the paper's linearly converging, robust iteration.
+//! The ordering and its band map belong to the mesh: the integrator reads
+//! them from its operator's [`crate::geometry::Geometry`].
 
 use crate::invariants::{ConservationMonitor, StepContext, Watchdog};
 use crate::moments::Moments;
 use crate::operator::LandauOperator;
 use crate::tensor_cache::TensorTable;
-use landau_sparse::band::{BandMap, BlockBandSolver};
+use landau_sparse::band::BlockBandSolver;
 use landau_sparse::csr::Csr;
-use landau_sparse::rcm::rcm_order;
 use landau_sparse::vecops;
 use landau_vgpu::fault::{FaultKind, SITE_LU_FACTOR};
 use std::fmt;
@@ -246,13 +247,6 @@ pub struct TimeIntegrator {
     /// Optional conservation/entropy monitor, consulted after every
     /// successful step (see [`crate::invariants::ConservationMonitor`]).
     pub monitor: Option<ConservationMonitor>,
-    pub(crate) perm: Vec<usize>,
-    /// Half-bandwidth of the reordered single-species block.
-    pub block_bandwidth: usize,
-    /// Mass-pattern entry → band slot of the reordered block, built once:
-    /// every Jacobian `M − γ L_α` shares the pattern and the ordering. The
-    /// fused batch path scatters its lanes through the same map.
-    pub(crate) band_map: Arc<BandMap>,
     /// The block solver, refilled in place every Newton iteration. Made on
     /// the first solo step: the lanes of a fused batch never take one.
     solver: Option<BlockBandSolver>,
@@ -282,21 +276,6 @@ struct NewtonScratch {
     d: Vec<f64>,
 }
 
-/// Sweep ordering by node position (z-major, then r): near-minimal band on
-/// tensor-product-like meshes.
-fn geometric_order(op: &LandauOperator) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..op.n()).collect();
-    // `total_cmp` (not `partial_cmp().unwrap()`): a NaN coordinate from a
-    // corrupted mesh must not panic the ordering — it sorts last and the
-    // solve then fails through the normal non-finite guards.
-    perm.sort_by(|&a, &b| {
-        let (ra, za) = op.space.dof_positions[a];
-        let (rb, zb) = op.space.dof_positions[b];
-        za.total_cmp(&zb).then(ra.total_cmp(&rb))
-    });
-    perm
-}
-
 /// Permute a species-major vector into solver ordering.
 fn permute_into(perm: &[usize], x: &[f64], out: &mut [f64]) {
     let n = perm.len();
@@ -318,23 +297,9 @@ fn unpermute_into(perm: &[usize], x: &[f64], out: &mut [f64]) {
 }
 
 impl TimeIntegrator {
-    /// Build an integrator; computes the RCM ordering once (its cost is
-    /// amortized over the whole transient, like the paper's CPU
-    /// first-assembly).
+    /// Build an integrator for `op`, solving in its geometry's ordering.
     pub fn new(op: LandauOperator, method: ThetaMethod) -> Self {
         let moments = Moments::new(&op.space, &op.species);
-        // The paper's solver relies on RCM; on strongly graded quadtree
-        // meshes a geometric sweep ordering sometimes beats it, so take
-        // whichever gives the smaller band (factorization is O(n B²)).
-        let rcm = rcm_order(&op.mass);
-        let geo = geometric_order(&op);
-        let map_rcm = BandMap::new(&op.mass, &rcm);
-        let map_geo = BandMap::new(&op.mass, &geo);
-        let (perm, band_map) = if map_geo.bandwidth() < map_rcm.bandwidth() {
-            (geo, map_geo)
-        } else {
-            (rcm, map_rcm)
-        };
         TimeIntegrator {
             op,
             method,
@@ -345,9 +310,6 @@ impl TimeIntegrator {
             stall_window: 8,
             moments,
             monitor: None,
-            perm,
-            block_bandwidth: band_map.bandwidth(),
-            band_map: Arc::new(band_map),
             solver: None,
             scratch: NewtonScratch::default(),
         }
@@ -358,11 +320,9 @@ impl TimeIntegrator {
         self.op.n()
     }
 
-    /// Build (or adopt) the operator's geometry-invariant tensor cache once;
-    /// every subsequent [`Self::step`] then streams the cached tiles through
-    /// all of its Newton iterations instead of re-evaluating the Landau
-    /// tensors — the geometry never changes across steps, so one build
-    /// amortizes over the whole transient.
+    /// Stream the geometry's tensor table ([`LandauOperator::enable_tensor_cache`]):
+    /// every subsequent [`Self::step`] then folds cached tiles through all of
+    /// its Newton iterations instead of re-evaluating the Landau tensors.
     pub fn enable_tensor_cache(&mut self, budget_bytes: usize) -> Arc<TensorTable> {
         self.op.enable_tensor_cache(budget_bytes)
     }
@@ -374,20 +334,6 @@ impl TimeIntegrator {
     pub fn enable_monitoring(&mut self, wd: Watchdog) -> &mut ConservationMonitor {
         let mon = ConservationMonitor::new(&self.op, wd);
         self.monitor.insert(mon)
-    }
-
-    /// Drop this integrator's band map for `other`'s where both solve in
-    /// the same ordering (the vertices of a batch on one mesh do).
-    pub(crate) fn share_band_map(&mut self, other: &TimeIntegrator) {
-        if self.perm == other.perm {
-            self.band_map = Arc::clone(&other.band_map);
-        }
-    }
-
-    /// The solver ordering: position `k` holds dof `perm()[k]` of each
-    /// species block.
-    pub fn perm(&self) -> &[usize] {
-        &self.perm
     }
 
     /// Residual `R = M(f − f^n) − Δt[θ(Lf + Ms) + (1−θ)rhs_old]`, where
@@ -543,7 +489,7 @@ impl TimeIntegrator {
             // factors; factor per species block in parallel.
             let sp_factor = landau_obs::span(landau_obs::names::FACTOR);
             let t1 = Instant::now();
-            let (mass, map) = (&self.op.mass, &*self.band_map);
+            let (mass, map) = (&self.op.mass, self.op.band_map());
             let solver = self
                 .solver
                 .get_or_insert_with(|| BlockBandSolver::from_map(map, assembled.mats.len()));
@@ -568,13 +514,13 @@ impl TimeIntegrator {
 
             let sp_solve = landau_obs::span(landau_obs::names::SOLVE);
             let t2 = Instant::now();
-            permute_into(&self.perm, &lane.r, delta);
+            permute_into(self.op.perm(), &lane.r, delta);
             solver.solve_into(delta);
             lane.stats.t_solve += t2.elapsed().as_secs_f64();
             drop(sp_solve);
 
             // f ← f − λ J⁻¹ R.
-            unpermute_into(&self.perm, delta, d);
+            unpermute_into(self.op.perm(), delta, d);
             if !all_finite(d) {
                 lane.fail(SolveError::NonFinite {
                     site: NonFiniteSite::Solution,
@@ -1173,9 +1119,9 @@ mod tests {
         let ti = integrator(1.0);
         // Band solver practicality: bandwidth far below n.
         assert!(
-            ti.block_bandwidth * 3 < ti.n(),
+            ti.op.bandwidth() * 3 < ti.n(),
             "bandwidth {} vs n {}",
-            ti.block_bandwidth,
+            ti.op.bandwidth(),
             ti.n()
         );
     }

@@ -29,8 +29,10 @@
 //! ([`CacheMode::Recompute`]), preserving the API and the exact streaming
 //! arithmetic (so results are bitwise identical across modes). Either way
 //! a tile is one [`landau_tensor_2d_tile`] call, and a zero-budget
-//! `Recompute` table (three `N`-vectors) is also what the CPU backend folds
-//! over when no cache is enabled (`LandauOperator::assemble`).
+//! `Recompute` table (a handle on the mesh's [`IpPoints`]) is also what the
+//! CPU backend folds over when no cache is enabled. A mesh's tables belong
+//! to its [`crate::geometry::Geometry`], which builds the resident one at
+//! most once.
 //!
 //! **Streaming.** A kernel *stages* the species sums `Σ_β f_β·(∇f_β, f_β)`
 //! ([`CachedStream::stage`]) and *folds* tiles against them
@@ -44,7 +46,7 @@
 //! (mirrored into `dram_read` so arithmetic-intensity stays honest), and the
 //! avoided tensor evaluations to [`Tally::cache_flops_saved`].
 
-use crate::ipdata::IpData;
+use crate::ipdata::{IpData, IpPoints};
 use crate::tensor::{landau_tensor_2d_tile, TENSOR2D_FLOPS};
 use landau_par::prelude::*;
 use landau_vgpu::Tally;
@@ -84,19 +86,15 @@ pub enum CacheMode {
     Recompute,
 }
 
-/// The precomputed (or recompute-on-demand) geometry cache. Self-contained —
-/// it owns copies of the quadrature geometry — so one `Arc<TensorTable>` is
-/// shared across operator rebuilds, time steps, and batch vertices.
+/// The precomputed (or recompute-on-demand) geometry cache over one mesh's
+/// integration points. A [`crate::geometry::Geometry`] owns the tables of
+/// its mesh; every operator, time step and batch vertex on it streams them.
 pub struct TensorTable {
-    n: usize,
-    nq: usize,
+    points: Arc<IpPoints>,
     ne: usize,
     mode: CacheMode,
     /// `Cached` mode: `(i·N_e + je)·5·nq + c·nq + jj`; empty in `Recompute`.
     data: Vec<f64>,
-    r: Vec<f64>,
-    z: Vec<f64>,
-    w: Vec<f64>,
     build_tally: Tally,
 }
 
@@ -106,23 +104,22 @@ impl TensorTable {
         STREAMS * n * n * 8
     }
 
-    /// Build the cache for the packed geometry in `ip`, fully resident if
-    /// `required_bytes(ip.n) <= budget_bytes`, otherwise in recompute mode.
+    /// Build the cache over `points`, fully resident if
+    /// `required_bytes(points.n) <= budget_bytes`, otherwise in recompute
+    /// mode.
     ///
     /// The build parallelizes over test points with a deterministic
     /// in-order fold, so the table contents are a pure function of the
     /// geometry.
-    pub fn build(ip: &IpData, budget_bytes: usize) -> Arc<TensorTable> {
-        let n = ip.n;
-        let nq = ip.nq;
+    pub fn build(points: &Arc<IpPoints>, budget_bytes: usize) -> Arc<TensorTable> {
+        let (n, nq) = (points.n, points.nq);
         assert!(
             nq > 0 && n.is_multiple_of(nq),
             "points must tile into elements"
         );
         let ne = n / nq;
         let mut table = TensorTable {
-            n,
-            nq,
+            points: Arc::clone(points),
             ne,
             mode: if Self::required_bytes(n) <= budget_bytes {
                 CacheMode::Cached
@@ -130,9 +127,6 @@ impl TensorTable {
                 CacheMode::Recompute
             },
             data: Vec::new(),
-            r: ip.r.clone(),
-            z: ip.z.clone(),
-            w: ip.w.clone(),
             build_tally: Tally::new(),
         };
         let mut t = Tally::new();
@@ -173,14 +167,14 @@ impl TensorTable {
     /// integrable self-interaction singularity (`j == i`) is a stored zero,
     /// replacing the `j != i` branch of the per-pair path.
     fn fill_tile(&self, i: usize, je: usize, out: &mut [f64]) {
-        let nq = self.nq;
+        let IpPoints { nq, r, z, w, .. } = &*self.points;
         let at = je * nq..(je + 1) * nq;
         landau_tensor_2d_tile(
-            self.r[i],
-            self.z[i],
-            &self.r[at.clone()],
-            &self.z[at.clone()],
-            &self.w[at],
+            r[i],
+            z[i],
+            &r[at.clone()],
+            &z[at.clone()],
+            &w[at],
             (i / nq == je).then_some(i % nq),
             out,
         );
@@ -191,7 +185,7 @@ impl TensorTable {
     /// `Recompute` mode it fills `buf` (see [`Self::tile_buf`]).
     #[inline]
     pub fn tile<'a>(&'a self, i: usize, je: usize, buf: &'a mut [f64]) -> &'a [f64] {
-        let len = STREAMS * self.nq;
+        let len = STREAMS * self.nq();
         match self.mode {
             CacheMode::Cached => {
                 let off = (i * self.ne + je) * len;
@@ -209,7 +203,7 @@ impl TensorTable {
     pub fn tile_buf(&self) -> Vec<f64> {
         match self.mode {
             CacheMode::Cached => Vec::new(),
-            CacheMode::Recompute => vec![0.0; STREAMS * self.nq],
+            CacheMode::Recompute => vec![0.0; STREAMS * self.nq()],
         }
     }
 
@@ -220,7 +214,7 @@ impl TensorTable {
     /// run Algorithm 1's `β` loop inside the pair loop) — and five streams
     /// of table bytes, or the tile rebuilds in `Recompute` mode.
     pub fn stream_tally(&self, ns: usize, hoisted: bool) -> Tally {
-        let n = self.n as u64;
+        let n = self.n() as u64;
         let staged = if hoisted { n } else { n * n };
         // The diagonal entry is a stored zero, not an evaluation.
         let pairs = n * (n - 1);
@@ -249,12 +243,12 @@ impl TensorTable {
 
     /// Integration points the table was built for.
     pub fn n(&self) -> usize {
-        self.n
+        self.points.n
     }
 
     /// Points per element.
     pub fn nq(&self) -> usize {
-        self.nq
+        self.points.nq
     }
 
     /// Field elements (tiles per test point).
@@ -272,10 +266,12 @@ impl TensorTable {
         self.build_tally
     }
 
-    /// True if the table's geometry is bitwise identical to `ip`'s — the
-    /// precondition for using this table with that packed data.
+    /// True if the table was built over `ip`'s points (the same allocation,
+    /// or bitwise equal ones) — the precondition for folding it against
+    /// that packed data.
     pub fn matches(&self, ip: &IpData) -> bool {
-        self.n == ip.n && self.nq == ip.nq && self.r == ip.r && self.z == ip.z && self.w == ip.w
+        let (p, q) = (&*self.points, &*ip.points);
+        std::ptr::eq(p, q) || (p.nq == q.nq && p.r == q.r && p.z == q.z && p.w == q.w)
     }
 }
 
@@ -346,7 +342,7 @@ impl CachedStream<'_> {
         tile_buf: &mut [f64],
         acc: &mut [f64; 5],
     ) {
-        let nq = self.table.nq;
+        let nq = self.table.nq();
         let n = self.ip.n;
         let at = je * nq..(je + 1) * nq;
         let tkr = &sums[at.clone()];
@@ -396,7 +392,7 @@ impl CachedStream<'_> {
         tile_buf: &mut [f64],
         acc: &mut [f64; 5],
     ) {
-        let nq = self.table.nq;
+        let nq = self.table.nq();
         self.stage(je * nq..(je + 1) * nq, sums);
         self.fold(i, je, sums, tile_buf, acc);
     }
@@ -423,12 +419,12 @@ mod tests {
     #[test]
     fn budget_selects_mode() {
         let ip = setup();
-        let full = TensorTable::build(&ip, usize::MAX);
+        let full = TensorTable::build(&ip.points, usize::MAX);
         assert_eq!(full.mode(), CacheMode::Cached);
         assert_eq!(full.table_bytes(), TensorTable::required_bytes(ip.n));
         assert!(full.build_tally().cache_build_flops > 0);
         assert!(full.tile_buf().is_empty());
-        let re = TensorTable::build(&ip, 0);
+        let re = TensorTable::build(&ip.points, 0);
         assert_eq!(re.mode(), CacheMode::Recompute);
         assert_eq!(re.table_bytes(), 0);
         assert_eq!(re.build_tally(), Tally::new());
@@ -438,8 +434,8 @@ mod tests {
     #[test]
     fn cached_and_recomputed_tiles_agree_bitwise() {
         let ip = setup();
-        let full = TensorTable::build(&ip, usize::MAX);
-        let re = TensorTable::build(&ip, 0);
+        let full = TensorTable::build(&ip.points, usize::MAX);
+        let re = TensorTable::build(&ip.points, 0);
         let ne = ip.n / ip.nq;
         let mut buf = re.tile_buf();
         for &i in &[0usize, 7, ip.n - 1] {
@@ -457,13 +453,13 @@ mod tests {
     fn stream_tally_charges_what_each_mode_executes() {
         let ip = setup();
         let n = ip.n as u64;
-        let full = TensorTable::build(&ip, usize::MAX).stream_tally(2, true);
+        let full = TensorTable::build(&ip.points, usize::MAX).stream_tally(2, true);
         assert_eq!(full.flops, 14 * n * n + 6 * 2 * n);
         assert_eq!(full.dram_read, 40 * n * n);
         assert_eq!(full.cache_read, full.dram_read);
         assert_eq!(full.cache_flops_saved, n * (n - 1) * PAIR_FLOPS_SAVED);
         assert_eq!(full.cache_build_flops, 0);
-        let re = TensorTable::build(&ip, 0).stream_tally(2, false);
+        let re = TensorTable::build(&ip.points, 0).stream_tally(2, false);
         let build = n * (n - 1) * TILE_BUILD_FLOPS_PER_PAIR;
         assert_eq!(re.flops, (14 + 6 * 2) * n * n + build);
         assert_eq!(re.cache_build_flops, build);
@@ -471,9 +467,19 @@ mod tests {
     }
 
     #[test]
+    fn table_matches_its_geometry() {
+        let ip = setup();
+        let table = TensorTable::build(&ip.points, usize::MAX);
+        assert!(table.matches(&ip));
+        let space = FemSpace::new(uniform_mesh(3.0, 2), 2);
+        let other = IpData::new(&space, &SpeciesList::electron_deuterium());
+        assert!(!table.matches(&other));
+    }
+
+    #[test]
     fn diagonal_entries_are_zero() {
         let ip = setup();
-        let full = TensorTable::build(&ip, usize::MAX);
+        let full = TensorTable::build(&ip.points, usize::MAX);
         let nq = ip.nq;
         let i = nq + 3; // element 1, local point 3
         let tile = full.tile(i, 1, &mut []);
@@ -484,15 +490,5 @@ mod tests {
         // principal streams k00/d0 are strictly positive kernels).
         assert_ne!(tile[4], 0.0);
         assert_ne!(tile[2 * nq + 4], 0.0);
-    }
-
-    #[test]
-    fn table_matches_its_geometry() {
-        let ip = setup();
-        let table = TensorTable::build(&ip, usize::MAX);
-        assert!(table.matches(&ip));
-        let space = FemSpace::new(uniform_mesh(3.0, 2), 2);
-        let other = IpData::new(&space, &SpeciesList::electron_deuterium());
-        assert!(!table.matches(&other));
     }
 }

@@ -39,8 +39,11 @@ fn counters(s: &StepStats) -> (usize, bool, u64) {
 #[test]
 fn refill_in_place_matches_rebuild_every_iteration_bitwise() {
     let mut ti = TimeIntegrator::new(operator(), ThetaMethod::BackwardEuler);
-    let mut oracle =
-        RebuildIntegrator::new(operator(), ThetaMethod::BackwardEuler, ti.perm().to_vec());
+    let mut oracle = RebuildIntegrator::new(
+        operator(),
+        ThetaMethod::BackwardEuler,
+        ti.op.perm().to_vec(),
+    );
     ti.rtol = 1e-7;
     oracle.rtol = ti.rtol;
     assert_eq!(

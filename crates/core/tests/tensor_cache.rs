@@ -60,8 +60,8 @@ fn cached_matches_uncached_across_backends_and_budgets() {
     let sl = plasma();
     cases(4, |rng, case| {
         let ip = random_ipdata(rng, &space, &sl);
-        let full = TensorTable::build(&ip, usize::MAX);
-        let recompute = TensorTable::build(&ip, 0);
+        let full = TensorTable::build(&ip.points, usize::MAX);
+        let recompute = TensorTable::build(&ip.points, 0);
         let (cpu, _) = inner_integral_cpu(&ip, &sl);
         let (cuda, _) = inner_integral_cuda_model(&ip, &sl, 16);
         let (kk, _) = inner_integral_kokkos_model(&ip, &sl, 8);
@@ -110,14 +110,17 @@ fn table_reused_three_steps_is_bitwise_identical_to_rebuild() {
         ti
     };
     let mut reuse = build();
-    let mut rebuild = build();
-    reuse.enable_tensor_cache(DEFAULT_BUDGET_BYTES);
+    let kept = reuse.enable_tensor_cache(DEFAULT_BUDGET_BYTES);
     let mut s_reuse = reuse.op.initial_state();
     let mut s_rebuild = s_reuse.clone();
     for step in 0..3 {
-        // The rebuild integrator constructs a fresh table every step; the
-        // reuse integrator keeps streaming the step-0 table.
-        rebuild.enable_tensor_cache(DEFAULT_BUDGET_BYTES);
+        // The rebuild arm is a fresh integrator on a fresh geometry every
+        // step, so its table is genuinely built again (a second enable on
+        // one geometry would hand back the first table); the reuse
+        // integrator keeps streaming the step-0 table.
+        let mut rebuild = build();
+        let rebuilt = rebuild.enable_tensor_cache(DEFAULT_BUDGET_BYTES);
+        assert!(!std::sync::Arc::ptr_eq(&kept, &rebuilt));
         reuse.step(&mut s_reuse, 0.3, 0.0, None);
         rebuild.step(&mut s_rebuild, 0.3, 0.0, None);
         for (a, b) in s_reuse.iter().zip(&s_rebuild) {
@@ -196,7 +199,7 @@ fn tensor_k_second_column_is_d_bitwise() {
 /// The new CPU kernel against the kernel it replaced, in both table modes.
 fn assert_matches_seven_stream_oracle(what: &str, ip: &IpData, sl: &SpeciesList) {
     for (budget, resident) in [(usize::MAX, true), (0, false)] {
-        let (new, _) = inner_integral_cpu_cached(ip, sl, &TensorTable::build(ip, budget));
+        let (new, _) = inner_integral_cpu_cached(ip, sl, &TensorTable::build(&ip.points, budget));
         let old = SevenStreamTable::build(ip, resident).inner_integral(ip, sl);
         assert_eq!(
             coeff_bits(&new),

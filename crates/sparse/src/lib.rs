@@ -19,13 +19,12 @@
 //!   with a per-lane active mask, bitwise-equal to [`band`] per lane.
 //! * [`vecops`] — the handful of BLAS-1 operations the time integrator uses.
 //! * [`atomic`] — an `AtomicF64` add used by the device-style assembly.
-//! * [`checked`] (feature `checked`, on by default) — an ownership map
-//!   that validates the element-coloring contract during scatter.
+//! * [`checked`] — an ownership map that validates the element-coloring
+//!   contract during scatter.
 
 pub mod atomic;
 pub mod band;
 pub mod batched;
-#[cfg(feature = "checked")]
 pub mod checked;
 pub mod coo;
 pub mod csr;
@@ -34,7 +33,6 @@ pub mod vecops;
 
 pub use band::BandMatrix;
 pub use batched::BatchedBandStorage;
-#[cfg(feature = "checked")]
 pub use checked::{OwnerMap, ScatterConflict};
 pub use coo::CooMatrix;
 pub use csr::{Csr, InsertMode};

@@ -114,9 +114,7 @@ impl TeamPolicy {
 /// stores genuinely mutate the tile.
 pub struct ScratchBuf {
     data: Vec<f64>,
-    #[cfg(feature = "checked")]
     track: Option<core::cell::RefCell<crate::checked::ScratchTrack>>,
-    #[cfg(feature = "checked")]
     sym: Option<crate::symbolic::SymTrack>,
 }
 
@@ -125,15 +123,12 @@ impl ScratchBuf {
     pub(crate) fn plain(len: usize) -> Self {
         ScratchBuf {
             data: vec![0.0; len],
-            #[cfg(feature = "checked")]
             track: None,
-            #[cfg(feature = "checked")]
             sym: None,
         }
     }
 
     /// Tracked scratch: every access updates the shadow state.
-    #[cfg(feature = "checked")]
     pub(crate) fn tracked(len: usize, track: crate::checked::ScratchTrack) -> Self {
         ScratchBuf {
             data: vec![0.0; len],
@@ -144,7 +139,6 @@ impl ScratchBuf {
 
     /// Symbolically logged scratch: every access is appended to the
     /// barrier-segmented access log the static verifier analyzes.
-    #[cfg(feature = "checked")]
     pub(crate) fn symbolic(len: usize, sym: crate::symbolic::SymTrack) -> Self {
         ScratchBuf {
             data: vec![0.0; len],
@@ -165,17 +159,14 @@ impl ScratchBuf {
 
     /// Store `v` at `idx` from vector lane `lane`.
     pub fn write(&mut self, lane: usize, idx: usize, v: f64) {
-        #[cfg(feature = "checked")]
-        {
-            if let Some(t) = &self.track {
-                t.borrow_mut().on_write(lane, idx);
-            }
-            if let Some(s) = &self.sym {
-                // Out-of-bounds indices are reported to the verifier
-                // instead of aborting the symbolic run.
-                if !s.on_write(lane, idx) {
-                    return;
-                }
+        if let Some(t) = &self.track {
+            t.borrow_mut().on_write(lane, idx);
+        }
+        if let Some(s) = &self.sym {
+            // Out-of-bounds indices are reported to the verifier instead of
+            // aborting the symbolic run.
+            if !s.on_write(lane, idx) {
+                return;
             }
         }
         self.data[idx] = v;
@@ -183,15 +174,12 @@ impl ScratchBuf {
 
     /// Load the value at `idx` from vector lane `lane`.
     pub fn read(&self, lane: usize, idx: usize) -> f64 {
-        #[cfg(feature = "checked")]
-        {
-            if let Some(t) = &self.track {
-                t.borrow_mut().on_read(lane, idx);
-            }
-            if let Some(s) = &self.sym {
-                if !s.on_read(lane, idx) {
-                    return 0.0;
-                }
+        if let Some(t) = &self.track {
+            t.borrow_mut().on_read(lane, idx);
+        }
+        if let Some(s) = &self.sym {
+            if !s.on_read(lane, idx) {
+                return 0.0;
             }
         }
         self.data[idx]
@@ -452,7 +440,6 @@ pub(crate) fn tree_join<T: Reducer>(mut lanes: Vec<T>, tally: &mut Tally) -> T {
 
 /// Serial fold of the lane partials in an arbitrary visit order — the
 /// reference the checked mode compares the tree join against.
-#[cfg(feature = "checked")]
 pub(crate) fn join_in_order<T: Reducer>(lanes: &[T], order: impl Iterator<Item = usize>) -> T {
     let mut acc = T::identity();
     for i in order {

@@ -22,32 +22,30 @@
 //!   published peak FP64 rates, memory bandwidths and feature flags (e.g.
 //!   the MI100's missing hardware f64 atomics, §V-D1), plus the
 //!   execution-model limits ([`GpuSpec`]) the checked mode enforces;
-//! * [`checked`] (feature `checked`, on by default) — a shadow-state
-//!   race/determinism checker: a drop-in [`kokkos::Team`] member that flags
-//!   un-barriered cross-lane scratch conflicts, scratch over-allocation,
-//!   barrier/reduction divergence and order-dependent reducers.
+//! * [`checked`] — a shadow-state race/determinism checker: a drop-in
+//!   [`kokkos::Team`] member that flags un-barriered cross-lane scratch
+//!   conflicts, scratch over-allocation, barrier/reduction divergence and
+//!   order-dependent reducers (always compiled: `landau-core`'s kernel
+//!   registry needs [`symbolic`], and a plain member pays only a `None`
+//!   check per scratch access).
 //!
 //! Blocks are scheduled onto host threads by the caller (`landau-par`); the
 //! engine reproduces the *semantics* and *operation counts* of the CUDA
 //! model, while wall-clock performance on other hardware is modeled in
 //! `landau-hwsim` (see DESIGN.md §2 for the substitution argument).
 
-#[cfg(feature = "checked")]
 pub mod checked;
 pub mod counters;
 pub mod fault;
 pub mod kokkos;
 pub mod reduce;
 pub mod spec;
-#[cfg(feature = "checked")]
 pub mod symbolic;
 
-#[cfg(feature = "checked")]
 pub use checked::{CheckCtx, CheckedTeamMember, Finding, RaceKind};
 pub use counters::{Counters, KernelStats, Tally};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault};
 pub use kokkos::{PlainFactory, Reducer, ReducerCheck, ScratchBuf, Team, TeamFactory};
 pub use reduce::{cuda_strided_reduce, WarpAdd};
 pub use spec::{Device, DeviceSpec, GpuSpec};
-#[cfg(feature = "checked")]
 pub use symbolic::{AffinePattern, BlockLog, BufLog, SymbolicCtx, SymbolicTeamMember};
