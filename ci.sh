@@ -67,7 +67,7 @@ run_bench() {
   echo "== bench build"
   cargo build --release -p landau-bench --benches --bins
 
-  echo "== tensor cache bench (quick gate: verify + 1.4x speedup over the closed form)"
+  echo "== tensor cache bench (quick gate: verify + 1.4x speedup over the closed form, best of 5 interleaved)"
   cargo bench -q -p landau-bench --bench tensor_cache -- --quick
 
   echo "== resilience bench (quick gate: bitwise identity + recovery + obs/monitor overhead)"
@@ -82,7 +82,7 @@ run_bench() {
   echo "== solver bench (quick gate: envelope band LU bitwise vs scalar reference + 4x speedup)"
   cargo bench -q -p landau-bench --bench solver -- --quick
 
-  echo "== kernels bench (quick gates: cached CPU inner integral bitwise vs seven-stream reference + 2.5x; closed-form CPU kernel within 1e-13 of the per-pair reference + 2x)"
+  echo "== kernels bench (quick gates: cached CPU inner integral bitwise vs seven-stream reference + 2.5x; closed-form CPU kernel within 1e-13 of the per-pair reference + 2x; pair Jacobian tail within 1e-14 of the per-species reference + 3x)"
   cargo bench -q -p landau-bench --bench kernels -- --quick
 
   echo "== live telemetry bench (quick gate: journal on/off bitwise identity + scrape validity)"
@@ -93,6 +93,9 @@ run_bench() {
 
   echo "== telemetry export smoke (validated scrape, journal drain, per-job trace)"
   cargo run -q --release -p landau-bench --bin obs_export -- --smoke
+
+  echo "== static kernel verifier (writes BENCH_verify.json for the gate below)"
+  cargo run -q -p landau-check --bin verify-kernels
 
   echo "== bench regression gate (fresh BENCH_*.json vs baselines/, verify.* pinned to 0)"
   cargo run -q --release -p landau-bench --bin bench_gate

@@ -7,31 +7,37 @@
 //! process, floor 2.5×). Closed form: the same fold over tiles evaluated
 //! in lockstep (`Backend::Cpu` without a cache) must stay within 1e-13 of
 //! the scalar per-pair `inner_integral_cpu` (`closed_form_cpu_rel_diff`)
-//! and beat it (`closed_form_cpu_speedup_vs_reference`, floor 2×). Ratios,
-//! not seconds, so the committed baseline means something on another
-//! machine.
+//! and beat it (`closed_form_cpu_speedup_vs_reference`, floor 2×). The
+//! Jacobian tail (element matrices plus atomic scatter) builds the pair
+//! `A_K`, `A_D` once instead of one matrix per species: its materialised
+//! matrices must stay within 1e-14 of the per-species tail of
+//! `landau_testkit::oracle` (`jacobian_tail_rel_diff`) and beat it
+//! (`jacobian_tail_speedup_vs_reference`, interleaved min-of-N, floor 3×).
+//! Ratios, not seconds, so the committed baseline means something on
+//! another machine.
 //!
 //! Plain timing harness (`harness = false`):
 //! `cargo bench -p landau-bench --bench kernels [-- --quick]`. The gate's
 //! numbers land in `BENCH_kernels.json` at the workspace root; `--quick`
 //! only skips the ungated timings, which are printed.
 
-use landau_bench::{min_seconds, perf_operator, write_bench_json};
+use landau_bench::{min_seconds, min_seconds_pair, perf_operator, write_bench_json};
 use landau_core::ipdata::IpData;
 use landau_core::kernels::{
     assemble_atomic, assemble_setvalues, inner_integral_cpu, inner_integral_cpu_cached,
     inner_integral_cuda_model, inner_integral_cuda_model_cached, inner_integral_kokkos_cached,
     inner_integral_kokkos_model, landau_element_matrices, mass_element_matrices,
 };
-use landau_core::operator::Backend;
+use landau_core::operator::{Backend, LandauOperator};
 use landau_core::species::{Species, SpeciesList};
 use landau_core::tensor::landau_tensor_2d;
 use landau_core::TensorTable;
 use landau_fem::assemble::csr_pattern;
 use landau_fem::FemSpace;
 use landau_mesh::presets::{MeshSpec, RefineShell};
-use landau_testkit::oracle::{coeff_bits, SevenStreamTable};
+use landau_testkit::oracle::{coeff_bits, species_tail, SevenStreamTable};
 use landau_vgpu::kokkos::PlainFactory;
+use landau_vgpu::Tally;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -107,6 +113,51 @@ fn closed_form_cpu_gate(ip: &IpData, sl: &SpeciesList) -> Vec<(String, f64)> {
     ]
 }
 
+/// The Jacobian tail of the §V operator (atomic scatter, `E = 0`): the
+/// pair against the per-species tail it replaced, on the same
+/// coefficients; returns its `BENCH_kernels.json` entries.
+fn jacobian_tail_gate(op: &mut LandauOperator) -> Vec<(String, f64)> {
+    let state = op.initial_state();
+    let geom = op.geometry().clone();
+    op.ipdata.pack(&geom.space, &state);
+    let (coeffs, _) = inner_integral_cpu_cached(&op.ipdata, &op.species, op.tensor_table());
+    let op = &*op;
+    let mut jac = op.new_jacobian();
+    op.assemble_tail(&coeffs, Tally::new(), &mut jac, 0.0);
+    let pair = jac.materialise();
+    let mut mats = pair.clone();
+    species_tail(op, &coeffs, 0.0, &mut mats);
+    let rel_diff = pair
+        .iter()
+        .zip(&mats)
+        .map(|(p, r)| {
+            let scale = r.vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let diff = p.vals.iter().zip(&r.vals);
+            diff.fold(0.0f64, |m, (x, y)| m.max((x - y).abs())) / scale
+        })
+        .fold(0.0, f64::max);
+
+    let (t_new, t_ref) = min_seconds_pair(
+        15,
+        || op.assemble_tail(&coeffs, Tally::new(), &mut jac, 0.0),
+        || species_tail(op, &coeffs, 0.0, &mut mats),
+    );
+    let speedup = t_ref / t_new;
+    println!(
+        "jacobian_tail gate: {} species; per-species reference {:.3} ms, pair {:.3} ms, \
+         {speedup:.2}x (floor 3x), rel diff {rel_diff:.2e}",
+        op.species.len(),
+        t_ref * 1e3,
+        t_new * 1e3,
+    );
+    vec![
+        ("jacobian_tail_rel_diff".into(), rel_diff),
+        ("jacobian_tail_speedup_vs_reference".into(), speedup),
+        ("jacobian_tail_ms".into(), t_new * 1e3),
+        ("jacobian_tail_reference_ms".into(), t_ref * 1e3),
+    ]
+}
+
 fn setup() -> (FemSpace, SpeciesList, IpData) {
     let spec = MeshSpec {
         domain_radius: 4.0,
@@ -140,11 +191,12 @@ fn setup() -> (FemSpace, SpeciesList, IpData) {
 }
 
 fn main() {
-    let op = perf_operator(80, Backend::Cpu);
+    let mut op = perf_operator(80, Backend::Cpu);
     let mut ip = IpData::new(&op.space, &op.species);
     ip.pack(&op.space, &op.initial_state());
     let mut json = cached_cpu_gate(&ip, &op.species);
     json.extend(closed_form_cpu_gate(&ip, &op.species));
+    json.extend(jacobian_tail_gate(&mut op));
     let path = write_bench_json("BENCH_kernels.json", &json);
     println!("wrote {}", path.display());
     let value = |name: &str| json.iter().find(|(n, _)| n == name).expect("emitted").1;
@@ -163,6 +215,14 @@ fn main() {
     assert!(
         value("closed_form_cpu_speedup_vs_reference") >= 2.0,
         "closed-form CPU kernel under 2x the scalar per-pair reference"
+    );
+    assert!(
+        value("jacobian_tail_rel_diff") < 1e-14,
+        "the pair Jacobian tail left the per-species reference"
+    );
+    assert!(
+        value("jacobian_tail_speedup_vs_reference") >= 3.0,
+        "the pair Jacobian tail under 3x the per-species reference"
     );
     if std::env::args().any(|a| a == "--quick") {
         return;
@@ -202,10 +262,10 @@ fn main() {
     });
 
     let (coeffs, _) = inner_integral_cpu(&ip, &sl);
-    let (ce, _) = landau_element_matrices(&space, &sl, &ip, &coeffs);
+    let ce = landau_element_matrices(&space, &ip, &coeffs);
     let pat = csr_pattern(&space);
     bench("assembly/transform_element_matrices", 20, || {
-        landau_element_matrices(&space, &sl, &ip, &coeffs)
+        landau_element_matrices(&space, &ip, &coeffs)
     });
     {
         let mut mats = vec![pat.clone(), pat.clone()];

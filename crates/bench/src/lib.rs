@@ -109,6 +109,27 @@ pub fn min_seconds<S, R>(reps: usize, setup: impl Fn() -> S, mut body: impl FnMu
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Minimum over `reps` rounds of the seconds each of two arms takes, the
+/// arms alternating within a round so a slow spell of the host lands on
+/// both — the timing behind a gated ratio of two arms.
+pub fn min_seconds_pair<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64) {
+    use std::hint::black_box;
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let start = std::time::Instant::now();
+        black_box(a());
+        best.0 = best.0.min(start.elapsed().as_secs_f64());
+        let start = std::time::Instant::now();
+        black_box(b());
+        best.1 = best.1.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
 /// Write a flat `{"metric": value}` JSON map to `file_name` at the
 /// workspace root (bench mains run with the package directory as cwd).
 /// Returns the path written so mains can echo it for CI logs.

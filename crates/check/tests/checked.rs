@@ -13,6 +13,7 @@ use landau_fem::assemble::csr_pattern;
 use landau_fem::coloring::{color_batches, color_elements};
 use landau_fem::FemSpace;
 use landau_mesh::presets::uniform_mesh;
+use landau_testkit::oracle::landau_element_matrices;
 use landau_vgpu::kokkos::{Team, TeamFactory, TeamPolicy};
 use landau_vgpu::{CheckCtx, Finding, GpuSpec, Tally};
 
@@ -85,7 +86,7 @@ fn seeded_lane_race_is_reported_in_collecting_mode() {
 fn seeded_coloring_violation_is_caught() {
     let (space, sl, ip) = setup();
     let (coeffs, _) = landau_core::kernels::inner_integral_cpu(&ip, &sl);
-    let (ce, _) = landau_core::kernels::landau_element_matrices(&space, &sl, &ip, &coeffs);
+    let (ce, _) = landau_element_matrices(&space, &sl, &ip, &coeffs);
     let pat = csr_pattern(&space);
     let mut mats = vec![pat.clone(), pat.clone()];
     // Defect: one batch containing every element — adjacent elements share
@@ -136,7 +137,7 @@ fn operator_kernel_runs_clean_under_checker() {
 fn real_coloring_passes_checked_assembly() {
     let (space, sl, ip) = setup();
     let (coeffs, _) = landau_core::kernels::inner_integral_cpu(&ip, &sl);
-    let (ce, _) = landau_core::kernels::landau_element_matrices(&space, &sl, &ip, &coeffs);
+    let (ce, _) = landau_element_matrices(&space, &sl, &ip, &coeffs);
     let (colors, ncolors) = color_elements(&space);
     let batches = color_batches(&colors, ncolors);
     let pat = csr_pattern(&space);

@@ -11,9 +11,8 @@
 //! * [`FusedWorkspace`] holds the reusable per-batch storage: the
 //!   [`BatchedBandStorage`] (one band lane per live (vertex, species)
 //!   pair, compacted to the low lanes each round), the batch's one
-//!   [`Geometry`] (ordering, CSR-entry → band-slot map, pattern),
-//!   per-vertex matrix workspaces on that pattern, and the SoA
-//!   right-hand-side.
+//!   [`Geometry`] (ordering, CSR-entry → band-slot map, pattern), one
+//!   [`Jacobian`] per vertex on that pattern, and the SoA right-hand-side.
 //! * [`fused_macro_step`] advances every vertex by one macro step of `dt`
 //!   with a per-vertex active mask: converged and failed vertices retire
 //!   from subsequent fused launches without desynchronizing the rest.
@@ -33,12 +32,11 @@
 
 use crate::geometry::Geometry;
 use crate::kernels;
-use crate::operator::Backend;
+use crate::operator::{Backend, Jacobian};
 use crate::recover::{AdaptiveStepper, RecoveryFailure, RecoveryStats};
 use crate::solver::{
     all_finite, NewtonLane, NonFiniteSite, ResidualScratch, SolveError, StepStats,
 };
-use landau_sparse::csr::Csr;
 use landau_sparse::vecops;
 use landau_sparse::BatchedBandStorage;
 use landau_vgpu::fault::{
@@ -86,9 +84,9 @@ pub(crate) struct FusedWorkspace {
     band: BatchedBandStorage,
     /// SoA right-hand-side / solution: `x_soa[i * n_lanes + m]`.
     x_soa: Vec<f64>,
-    /// Per-vertex per-species Jacobian workspaces on the shared pattern.
-    /// The scatter zeroes entries first, so reuse is bitwise-safe.
-    mats: Vec<Vec<Csr>>,
+    /// One Jacobian per vertex on the shared pattern. The scatter zeroes
+    /// entries first, so reuse is bitwise-safe.
+    jacs: Vec<Jacobian>,
     /// Work vectors of the per-lane residual evaluations.
     residual_scratch: ResidualScratch,
     /// One lane's Newton update `J⁻¹ R` in dof ordering.
@@ -110,9 +108,7 @@ impl FusedWorkspace {
         let ns = steppers[0].ti.op.species.len();
         let n_lanes = steppers.len() * ns;
         let band = BatchedBandStorage::from_map(geom.band_map(), n_lanes);
-        let mats = (0..steppers.len())
-            .map(|_| vec![geom.pattern.clone(); ns])
-            .collect();
+        let jacs = steppers.iter().map(|st| st.ti.op.new_jacobian()).collect();
         FusedWorkspace {
             n,
             ns,
@@ -120,7 +116,7 @@ impl FusedWorkspace {
             geom,
             band,
             x_soa: vec![0.0; n * n_lanes],
-            mats,
+            jacs,
             residual_scratch: ResidualScratch::default(),
             d: vec![0.0; n * ns],
         }
@@ -130,23 +126,7 @@ impl FusedWorkspace {
     pub(crate) fn approx_heap_bytes(&self) -> usize {
         self.band.approx_heap_bytes()
             + self.x_soa.len() * 8
-            + self.mats.len() * self.ns * self.mats[0][0].vals.len() * 8
-    }
-
-    /// Write vertex `v`'s `ns` Jacobian blocks `M + neg_gamma · L_α` into
-    /// the band lanes `dst .. dst+ns`, value-identical to the solo path's
-    /// `BlockBandSolver::refill` through the same map. The caller must
-    /// have zeroed those lanes (`reset_lanes`) first: factorization writes
-    /// fill-in into band slots the sparse pattern leaves untouched.
-    fn fill_vertex(&mut self, v: usize, dst: usize, mass: &Csr, neg_gamma: f64) {
-        let FusedWorkspace {
-            band, mats, geom, ..
-        } = self;
-        for (a, la) in mats[v].iter().enumerate() {
-            band.fill_lane(dst + a, geom.band_map(), |o| {
-                mass.vals[o] + neg_gamma * la.vals[o]
-            });
-        }
+            + self.jacs.len() * 2 * self.jacs[0].pair[0].vals.len() * 8
     }
 }
 
@@ -291,7 +271,7 @@ pub(crate) fn fused_macro_step(
             {
                 coeffs[k].apply_fault(&f);
             }
-            op.assemble_tail(&coeffs[k], tallies[k], &mut ws.mats[v], e_field);
+            op.assemble_tail(&coeffs[k], tallies[k], &mut ws.jacs[v], e_field);
             lanes[k].stats.t_landau += t_kernel_share + t0.elapsed().as_secs_f64();
         }
         drop(sp_jb);
@@ -302,7 +282,7 @@ pub(crate) fn fused_macro_step(
             let (v, lane) = (lockstep[k], &mut lanes[k]);
             let ti = &steppers[v].ti;
             let rnorm =
-                lane.residual_norm(ti, &ws.mats[v], &states[v], None, &mut ws.residual_scratch);
+                lane.residual_norm(ti, &ws.jacs[v], &states[v], None, &mut ws.residual_scratch);
             lane.judge(ti, rnorm)
         });
         counters.retired += (entered - live.len()) as u64;
@@ -331,8 +311,16 @@ pub(crate) fn fused_macro_step(
             let v = lockstep[k];
             let dst = ci * ws.ns;
             cpos[k] = dst;
+            // `M − Δtθ L_α` per species, the values the solo refill writes
+            // through the same map, into lanes zeroed above: the factor
+            // writes fill-in into slots the pattern leaves untouched.
+            let (mass, jac) = (&steppers[v].ti.op.mass, &ws.jacs[v]);
             let neg_gamma = -(dt * lanes[k].theta);
-            ws.fill_vertex(v, dst, &steppers[v].ti.op.mass, neg_gamma);
+            for a in 0..ws.ns {
+                ws.band.fill_lane(dst + a, ws.geom.band_map(), |o| {
+                    mass.vals[o] + neg_gamma * jac.entry(a, o)
+                });
+            }
             // Same per-device fault cadence as the solo step's
             // `poll_fault(SITE_LU_FACTOR, n_blocks)` after the refill, then
             // the fused-only factor site: a singular block injected there

@@ -11,10 +11,12 @@
 //!    paper's key loop optimization — the `β` loop touches packed field
 //!    data only, so the leading term is species-count linear, not
 //!    quadratic.
-//! 2. **Transform & assemble** (`O(N N_b² S)`, lines 17–23): scale per
-//!    species (`ν ẽ_α² m0/m_α` and `−ν ẽ_α² (m0/m_α)²`), map to the global
-//!    basis, contract with the test/trial tabulations and scatter into the
-//!    per-species element matrices.
+//! 2. **Transform & assemble** (lines 17–23): map to the global basis,
+//!    contract with the test/trial tabulations and scatter. Algorithm 1
+//!    scales per species here (`ν ẽ_α² m0/m_α` and `−ν ẽ_α² (m0/m_α)²`)
+//!    and writes `S` blocks, `O(N N_b² S)`; the operator is linear in
+//!    those factors, so the host builds the two unscaled matrices once and
+//!    every species reads them (`O(N N_b²)`, [`crate::operator::Jacobian`]).
 //!
 //! The three back-ends (plain CPU, CUDA model, Kokkos model) produce the
 //! same `G` arrays up to floating-point association order; tests pin them
@@ -764,40 +766,27 @@ pub fn inner_integral_batched_kokkos_cached<F: TeamFactory>(
     (out, batch_tallies(active, species.len(), table, pairs))
 }
 
-/// Transform & assemble (lines 13–23): build the per-species element
-/// matrices from the inner-integral coefficients.
+/// Transform & assemble (lines 13–23) without the species factors: the
+/// two element matrices every species' block is a combination of, `A_K`
+/// (friction, `∫ w ∇ψ·G_K φ`) and `A_D` (diffusion, `∫ w ∇ψ·G_D ∇φ`),
+/// mapped to the global basis. Species α's element matrix is
+/// `k_α A_K + d_α A_D` ([`crate::operator::Jacobian`]); Algorithm 1 applies
+/// those factors here instead (lines 14–15, 19–20) and writes `S` blocks,
+/// which is what the device models are charged
+/// ([`crate::operator::LandauOperator::assemble_tail`]).
 ///
-/// Returns `ce[e][α][b_test][b_trial]` flattened, plus the stage tally.
-pub fn landau_element_matrices(
-    space: &FemSpace,
-    species: &SpeciesList,
-    ip: &IpData,
-    coeffs: &IpCoeffs,
-) -> (Vec<f64>, Tally) {
+/// Returns `ce[e][m][b_test][b_trial]` flattened, `m = 0` for `A_K` and
+/// `m = 1` for `A_D`: the layout the scatters read with `ns = 2`.
+pub fn landau_element_matrices(space: &FemSpace, ip: &IpData, coeffs: &IpCoeffs) -> Vec<f64> {
     let _sp = landau_obs::span(landau_obs::names::ELEMENT_MATRICES);
-    let ns = species.len();
     let nb = space.tab.nb;
     let nq = space.tab.nq;
-    let block = ns * nb * nb;
-    let mut ce = vec![0.0; space.n_elements() * block];
-    // Per-species scale factors (ν = 1 in nondimensional units).
-    let kscale: Vec<f64> = species
-        .list
-        .iter()
-        .map(|s| s.charge * s.charge / s.mass)
-        .collect();
-    let dscale: Vec<f64> = species
-        .list
-        .iter()
-        .map(|s| -s.charge * s.charge / (s.mass * s.mass))
-        .collect();
-    let tally: Tally = ce
-        .par_chunks_mut(block)
+    let mut ce = vec![0.0; space.n_elements() * 2 * nb * nb];
+    ce.par_chunks_mut(2 * nb * nb)
         .enumerate()
-        .map(|(e, cee)| {
-            let el = &space.elements[e];
-            let gs = el.grad_scale();
-            let mut t = Tally::new();
+        .for_each(|(e, cee)| {
+            let gs = space.elements[e].grad_scale();
+            let (cek, ced) = cee.split_at_mut(nb * nb);
             for q in 0..nq {
                 let gi = e * nq + q;
                 let w = ip.w[gi];
@@ -806,37 +795,31 @@ pub fn landau_element_matrices(
                 let b = &space.tab.b[q * nb..(q + 1) * nb];
                 let dx = &space.tab.dxi[q * nb..(q + 1) * nb];
                 let dy = &space.tab.deta[q * nb..(q + 1) * nb];
-                for (a, (&ks, &ds)) in kscale.iter().zip(&dscale).enumerate() {
-                    // Lines 14–15 & 19–20: species scaling and the map to
-                    // the global basis (diagonal J ⇒ scale by 2/h).
-                    let kvec = [w * ks * gk[0], w * ks * gk[1]];
-                    let dmat = [w * ds * gd[0], w * ds * gd[1], w * ds * gd[2]];
-                    let cea = &mut cee[a * nb * nb..(a + 1) * nb * nb];
-                    for bt in 0..nb {
-                        let gtr = gs * dx[bt];
-                        let gtz = gs * dy[bt];
-                        let kdot = gtr * kvec[0] + gtz * kvec[1];
-                        let dr = gtr * dmat[0] + gtz * dmat[1];
-                        let dz = gtr * dmat[1] + gtz * dmat[2];
-                        let row = &mut cea[bt * nb..(bt + 1) * nb];
-                        for bj in 0..nb {
-                            row[bj] += kdot * b[bj] + gs * (dr * dx[bj] + dz * dy[bj]);
-                        }
+                // The map to the global basis (diagonal J ⇒ scale by 2/h).
+                let kvec = [w * gk[0], w * gk[1]];
+                let dmat = [w * gd[0], w * gd[1], w * gd[2]];
+                for bt in 0..nb {
+                    let gtr = gs * dx[bt];
+                    let gtz = gs * dy[bt];
+                    let kdot = gtr * kvec[0] + gtz * kvec[1];
+                    let dr = gtr * dmat[0] + gtz * dmat[1];
+                    let dz = gtr * dmat[1] + gtz * dmat[2];
+                    let rowk = &mut cek[bt * nb..(bt + 1) * nb];
+                    let rowd = &mut ced[bt * nb..(bt + 1) * nb];
+                    for bj in 0..nb {
+                        rowk[bj] += kdot * b[bj];
+                        rowd[bj] += gs * (dr * dx[bj] + dz * dy[bj]);
                     }
                 }
             }
-            t.flops += (nq * ns * nb * (8 + nb * 6)) as u64;
-            t.dram_write += (block * 8) as u64;
-            t
-        })
-        .reduce(Tally::new, |a, b| a + b);
-    (ce, tally)
+        });
+    ce
 }
 
 /// Mass-kernel element matrices: `C ← Transform&Assemble(w[gi]·s, 0, 0)` —
 /// the scaled mass matrix the time integrator adds each stage (§V-A1).
-/// The matrix is species-independent; it is replicated per species to match
-/// the paper's kernel (which writes all `S` blocks).
+/// The matrix is species-independent, so one `nb × nb` block per element
+/// is built; the tally charges the `ns` blocks the paper's kernel writes.
 pub fn mass_element_matrices(
     space: &FemSpace,
     ns: usize,
@@ -846,55 +829,38 @@ pub fn mass_element_matrices(
     let _sp = landau_obs::span(landau_obs::names::MASS_ELEMENTS);
     let nb = space.tab.nb;
     let nq = space.tab.nq;
-    let block = ns * nb * nb;
+    let block = nb * nb;
     let mut ce = vec![0.0; space.n_elements() * block];
-    let tally: Tally = ce
-        .par_chunks_mut(block)
-        .enumerate()
-        .map(|(e, cee)| {
-            let mut t = Tally::new();
-            // The mass kernel reads only the weights (low AI by design).
-            t.dram_read += (nq * 8) as u64;
-            for q in 0..nq {
-                let gi = e * nq + q;
-                let w = ip.w[gi] * shift;
-                let b = &space.tab.b[q * nb..(q + 1) * nb];
-                for bt in 0..nb {
-                    let wb = w * b[bt];
-                    for bj in 0..nb {
-                        cee[bt * nb + bj] += wb * b[bj];
-                    }
+    ce.par_chunks_mut(block).enumerate().for_each(|(e, cee)| {
+        for q in 0..nq {
+            let gi = e * nq + q;
+            let w = ip.w[gi] * shift;
+            let b = &space.tab.b[q * nb..(q + 1) * nb];
+            for bt in 0..nb {
+                let wb = w * b[bt];
+                for bj in 0..nb {
+                    cee[bt * nb + bj] += wb * b[bj];
                 }
             }
-            // Replicate for the other species blocks.
-            let (first, rest) = cee.split_at_mut(nb * nb);
-            for a in 1..ns {
-                rest[(a - 1) * nb * nb..a * nb * nb].copy_from_slice(first);
-            }
-            t.flops += (nq * nb * (1 + 2 * nb)) as u64;
-            t.dram_write += (block * 8) as u64;
-            t
-        })
-        .reduce(Tally::new, |a, b| a + b);
+        }
+    });
+    // The mass kernel reads only the weights (low AI by design).
+    let ne = space.n_elements() as u64;
+    let tally = Tally {
+        flops: ne * (nq * nb * (1 + 2 * nb)) as u64,
+        dram_read: ne * (nq * 8) as u64,
+        dram_write: ne * (ns * block * 8) as u64,
+        ..Tally::new()
+    };
     (ce, tally)
 }
 
-/// CPU assembly path (`MatSetValues`, §III-F): scatter the element matrices
-/// into per-species CSR matrices. Species are independent, so the scatter
-/// parallelizes over species without contention.
+/// CPU assembly path (`MatSetValues`, §III-F): scatter `ns` element
+/// matrices per element into as many CSR matrices. The matrices are
+/// independent, so the scatter parallelizes over them without contention.
 pub fn assemble_setvalues(space: &FemSpace, ns: usize, ce: &[f64], mats: &mut [Csr]) {
-    let _sp = landau_obs::span(landau_obs::names::SCATTER);
-    let nb = space.tab.nb;
-    let block = ns * nb * nb;
-    assert_eq!(mats.len(), ns);
-    let map = space.scatter_map(&mats[0]);
-    mats.par_iter_mut().enumerate().for_each(|(a, m)| {
-        m.zero_entries();
-        for (e, el) in space.elements.iter().enumerate() {
-            let cea = &ce[e * block + a * nb * nb..e * block + (a + 1) * nb * nb];
-            map.scatter(e, el, cea, |k, v| m.vals[k] += v);
-        }
-    });
+    // The colored scatter with every element in one batch, in order.
+    assemble_colored(space, ns, ce, mats, &[(0..space.n_elements()).collect()]);
 }
 
 /// Graph-coloring assembly (the second §III-F strategy): colors assemble
@@ -1107,7 +1073,7 @@ mod tests {
     fn assembly_paths_agree() {
         let (space, sl, ip) = setup();
         let (coeffs, _) = inner_integral_cpu(&ip, &sl);
-        let (ce, _) = landau_element_matrices(&space, &sl, &ip, &coeffs);
+        let ce = landau_element_matrices(&space, &ip, &coeffs);
         let pat = csr_pattern(&space);
         let mut a1 = vec![pat.clone(), pat.clone()];
         let mut a2 = vec![pat.clone(), pat.clone()];
@@ -1124,10 +1090,11 @@ mod tests {
     #[test]
     fn density_row_is_conserved() {
         // ψ = 1 ⇒ ∇ψ = 0 ⇒ the operator's action tested against the
-        // constant function vanishes: 1ᵀ L f = 0 exactly per species.
+        // constant function vanishes: 1ᵀ A = 0 for both A_K and A_D, so
+        // for every species' combination of them.
         let (space, sl, ip) = setup();
         let (coeffs, _) = inner_integral_cpu(&ip, &sl);
-        let (ce, _) = landau_element_matrices(&space, &sl, &ip, &coeffs);
+        let ce = landau_element_matrices(&space, &ip, &coeffs);
         let pat = csr_pattern(&space);
         let mut mats = vec![pat.clone(), pat.clone()];
         assemble_setvalues(&space, 2, &ce, &mut mats);
@@ -1154,14 +1121,11 @@ mod tests {
         let (space, sl, ip) = setup();
         let (ce, t) = mass_element_matrices(&space, sl.len(), &ip, 2.5);
         assert!(t.flops > 0);
-        let pat = csr_pattern(&space);
-        let mut mats = vec![pat.clone(), pat.clone()];
-        assemble_setvalues(&space, 2, &ce, &mut mats);
+        let mut mats = vec![csr_pattern(&space)];
+        assemble_setvalues(&space, 1, &ce, &mut mats);
         let mref = landau_fem::assemble_mass_matrix(&space);
-        for mat in mats.iter().take(2) {
-            for (v, r) in mat.vals.iter().zip(&mref.vals) {
-                assert!((v - 2.5 * r).abs() < 1e-11 * (1.0 + r.abs()));
-            }
+        for (v, r) in mats[0].vals.iter().zip(&mref.vals) {
+            assert!((v - 2.5 * r).abs() < 1e-11 * (1.0 + r.abs()));
         }
     }
 

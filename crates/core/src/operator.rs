@@ -10,7 +10,8 @@
 //! quadratic) while `L(f)` serves as the quasi-Newton Jacobian.
 //!
 //! The multi-species matrix is block diagonal (`I_{S×S} ⊗ A_1` pattern):
-//! one CSR block per species, all sharing a pattern.
+//! one block per species, all sharing a pattern, and all combinations of
+//! the same two assembled matrices ([`Jacobian`]).
 
 use crate::geometry::Geometry;
 use crate::ipdata::IpData;
@@ -38,7 +39,7 @@ pub enum Backend {
 /// How element matrices reach the global matrix (§III-F lists all three).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AssemblyPath {
-    /// `MatSetValues`-style scatter, parallel over species (CPU path).
+    /// `MatSetValues`-style scatter, parallel over matrices (CPU path).
     SetValues,
     /// Concurrent element scatter with f64 atomics (the released GPU path).
     Atomic,
@@ -47,7 +48,8 @@ pub enum AssemblyPath {
     Colored,
 }
 
-/// The assembled Landau + electric-field operator for one state.
+/// The assembled Landau + electric-field operator for one state, one
+/// matrix per species: [`Jacobian::materialise`].
 #[derive(Clone, Debug)]
 pub struct AssembledOperator {
     /// One matrix per species, identical patterns, block-diagonal global
@@ -55,12 +57,68 @@ pub struct AssembledOperator {
     pub mats: Vec<Csr>,
 }
 
-impl AssembledOperator {
-    /// Apply the block-diagonal operator: `out[α] = L_α f_α`.
-    pub fn apply(&self, state: &[f64], out: &mut [f64]) {
-        let n = self.mats[0].n_rows;
-        for (s, m) in self.mats.iter().enumerate() {
-            m.matvec_into(&state[s * n..(s + 1) * n], &mut out[s * n..(s + 1) * n]);
+/// The Landau Jacobian of one state in its rank-two form. The operator is
+/// linear in the species factors, so species α's block is
+/// `L_α = k_α A_K + d_α A_D + c_α D_z` with `k_α = q_α²/m_α`,
+/// `d_α = −q_α²/m_α²`, `c_α = −(q_α/m_α)E`, over the *same* assembled
+/// `A_K`, `A_D` and the geometry's `D_z`. Every consumer — the solver
+/// refill, the residual, the fused batch and [`Self::materialise`] — reads
+/// an entry through [`Self::entry`], so all of them see the same bits.
+#[derive(Clone)]
+pub struct Jacobian {
+    /// `[A_K, A_D]` on the geometry's pattern.
+    pub(crate) pair: [Csr; 2],
+    /// `[k_α, d_α, c_α]` per species.
+    pub(crate) factors: Vec<[f64; 3]>,
+    /// `E ≠ 0`: the `c_α D_z` term is added.
+    field: bool,
+    geom: Arc<Geometry>,
+}
+
+impl Jacobian {
+    /// The one entry formula: species `a`'s value at pattern slot `o`.
+    #[inline]
+    pub fn entry(&self, a: usize, o: usize) -> f64 {
+        let [k, d, c] = self.factors[a];
+        let v = k * self.pair[0].vals[o] + d * self.pair[1].vals[o];
+        if self.field {
+            v + c * self.geom.dz.vals[o]
+        } else {
+            v
+        }
+    }
+
+    /// One matrix per species, every value from [`Self::entry`].
+    pub fn materialise(&self) -> Vec<Csr> {
+        (0..self.factors.len())
+            .map(|a| {
+                let mut m = self.pair[0].clone();
+                for (o, v) in m.vals.iter_mut().enumerate() {
+                    *v = self.entry(a, o);
+                }
+                m
+            })
+            .collect()
+    }
+
+    /// `y_α = L_α x_α` for species-major `x`, `y`: one pass over the
+    /// pattern that forms each entry and accumulates it in
+    /// `Csr::matvec_into`'s row order, so `y` carries the bits of the
+    /// per-species products on [`Self::materialise`]'s matrices.
+    pub fn apply(&self, x: &[f64], y: &mut [f64]) {
+        let m = &self.pair[0];
+        let n = m.n_rows;
+        assert!(x.len() == n * self.factors.len() && y.len() == x.len());
+        for i in 0..n {
+            let row = m.row_ptr[i]..m.row_ptr[i + 1];
+            for a in 0..self.factors.len() {
+                let xa = &x[a * n..(a + 1) * n];
+                let mut s = 0.0;
+                for k in row.clone() {
+                    s += self.entry(a, k) * xa[m.col_idx[k]];
+                }
+                y[a * n + i] = s;
+            }
         }
     }
 }
@@ -159,9 +217,16 @@ impl LandauOperator {
     }
 
     /// Assemble `L(f) − (ẽ_α/m̃_α) Ẽ D_z` for the given state and electric
-    /// field. Counters for the `landau_jacobian` kernel are recorded on the
-    /// device.
+    /// field, one matrix per species ([`Jacobian::materialise`]).
     pub fn assemble(&mut self, state: &[f64], e_field: f64) -> AssembledOperator {
+        let mats = self.jacobian(state, e_field).materialise();
+        AssembledOperator { mats }
+    }
+
+    /// Assemble the Jacobian of `state` at field `e_field` in its rank-two
+    /// form. Counters for the `landau_jacobian` kernel are recorded on the
+    /// device.
+    pub fn jacobian(&mut self, state: &[f64], e_field: f64) -> Jacobian {
         let _sp = landau_obs::span(landau_obs::names::JACOBIAN_BUILD);
         assert_eq!(state.len(), self.n_total());
         self.ipdata.pack(&self.geom.space, state);
@@ -198,52 +263,75 @@ impl LandauOperator {
             coeffs.apply_fault(&f);
         }
         drop(sp_kernel);
-        let ns = self.species.len();
-        let mut mats = vec![self.geom.pattern.clone(); ns];
-        self.assemble_tail(&coeffs, tally, &mut mats, e_field);
-        AssembledOperator { mats }
+        let mut jac = self.new_jacobian();
+        self.assemble_tail(&coeffs, tally, &mut jac, e_field);
+        jac
     }
 
-    /// The transform/assemble tail of [`Self::assemble`]: element matrices
-    /// from the inner-integral coefficients, scatter into `mats` (which
-    /// must be `ns` matrices on this operator's pattern — the scatter
-    /// zeroes entries first, so reused matrices are bitwise-safe), launch
-    /// accounting, and the electric-field advection term. Split out so the
-    /// fused batch orchestrator can run the per-lane tail after *one*
-    /// batched inner-integral launch has produced every lane's `coeffs`.
-    pub(crate) fn assemble_tail(
+    /// A zero [`Jacobian`] for this operator's geometry and species: the
+    /// storage [`Self::assemble_tail`] fills.
+    pub fn new_jacobian(&self) -> Jacobian {
+        Jacobian {
+            pair: [self.geom.pattern.clone(), self.geom.pattern.clone()],
+            factors: vec![[0.0; 3]; self.species.len()],
+            field: false,
+            geom: Arc::clone(&self.geom),
+        }
+    }
+
+    /// The transform/assemble tail of [`Self::jacobian`]: the pair of
+    /// element matrices from the inner-integral coefficients (packed in
+    /// [`Self::ipdata`]), their scatter into `jac.pair` (zeroed first, so a
+    /// reused `jac` is bitwise-safe), this operator's species factors at
+    /// `e_field`, and the launch accounting. Split out so the fused batch
+    /// orchestrator can run the per-lane tail after *one* batched
+    /// inner-integral launch has produced every lane's `coeffs`.
+    ///
+    /// `Backend::Cpu` records what it executes. The device models record
+    /// Algorithm 1 as the paper's GPU runs it: `S` scaled element matrices
+    /// (`nq·S·nb·(8 + 6nb)` flops and `S·nb²` doubles written per element)
+    /// and, on the atomic path, `S` per-species scatters.
+    pub fn assemble_tail(
         &self,
         coeffs: &kernels::IpCoeffs,
         mut tally: Tally,
-        mats: &mut [Csr],
+        jac: &mut Jacobian,
         e_field: f64,
     ) {
         let ns = self.species.len();
-        assert_eq!(mats.len(), ns);
+        assert!(Arc::ptr_eq(&jac.geom, &self.geom) && jac.factors.len() == ns);
+        let modelled = self.backend != Backend::Cpu;
         let sp_kernel = landau_obs::span(landau_obs::names::KERNEL);
         let space = &*self.geom.space;
-        let (ce, t2) = kernels::landau_element_matrices(space, &self.species, &self.ipdata, coeffs);
+        let ce = kernels::landau_element_matrices(space, &self.ipdata, coeffs);
         drop(sp_kernel);
-        tally.merge(&t2);
+        let (nb, nq, ne) = (space.tab.nb, space.tab.nq, space.n_elements() as u64);
+        let nm = if modelled { ns } else { 2 };
+        tally.flops += ne * (nq * nm * nb * (8 + nb * 6)) as u64;
+        tally.dram_write += ne * (nm * nb * nb * 8) as u64;
         let sp_assembly = landau_obs::span(landau_obs::names::ASSEMBLY);
+        let pair = &mut jac.pair;
         match self.assembly {
-            AssemblyPath::SetValues => kernels::assemble_setvalues(space, ns, &ce, mats),
+            AssemblyPath::SetValues => kernels::assemble_setvalues(space, 2, &ce, pair),
             AssemblyPath::Atomic => {
-                let t3 = kernels::assemble_atomic(space, ns, &ce, mats);
-                tally.merge(&t3);
+                let t3 = kernels::assemble_atomic(space, 2, &ce, pair);
+                tally.atomics += if modelled {
+                    (ns * space.scatter_map(&pair[0]).targets()) as u64
+                } else {
+                    t3.atomics
+                };
             }
             AssemblyPath::Colored => {
-                kernels::assemble_colored(space, ns, &ce, mats, self.geom.color_batches());
+                kernels::assemble_colored(space, 2, &ce, pair, self.geom.color_batches());
             }
         }
         drop(sp_assembly);
         self.device
             .record_launch("landau_jacobian", &tally, space.n_elements() as u64);
-        // Electric-field advection: RHS gets −(ẽ/m̃) Ẽ ∂_z f.
-        if e_field != 0.0 {
-            for (s, sp) in self.species.list.iter().enumerate() {
-                mats[s].axpy_same_pattern(-(sp.charge / sp.mass) * e_field, &self.dz);
-            }
+        jac.field = e_field != 0.0;
+        for (f, sp) in jac.factors.iter_mut().zip(&self.species.list) {
+            let (q, m) = (sp.charge, sp.mass);
+            *f = [q * q / m, -q * q / (m * m), -(q / m) * e_field];
         }
     }
 
@@ -253,17 +341,9 @@ impl LandauOperator {
     pub fn assemble_shifted_mass(&mut self, shift: f64) -> Csr {
         let _sp = landau_obs::span(landau_obs::names::MASS_BUILD);
         let ns = self.species.len();
-        let (ce, tally) = kernels::mass_element_matrices(&self.space, ns, &self.ipdata, shift);
+        let (ce, mut tally) = kernels::mass_element_matrices(&self.space, ns, &self.ipdata, shift);
         let mut mats = vec![self.geom.pattern.clone()];
-        // Assemble only the first species block (they are identical).
-        let nb = self.space.tab.nb;
-        let block = ns * nb * nb;
-        let ce0: Vec<f64> = ce
-            .chunks(block)
-            .flat_map(|c| c[..nb * nb].to_vec())
-            .collect();
-        let mut tally = tally;
-        let t = kernels::assemble_atomic(&self.space, 1, &ce0, &mut mats);
+        let t = kernels::assemble_atomic(&self.space, 1, &ce, &mut mats);
         tally.merge(&t);
         self.device
             .record_launch("mass", &tally, self.space.n_elements() as u64);
@@ -273,9 +353,8 @@ impl LandauOperator {
     /// The residual of the collision operator: `out[α] = L_α(f) f_α`
     /// (exact, since the Landau operator is quadratic in `f`).
     pub fn collision_rhs(&mut self, state: &[f64], e_field: f64) -> Vec<f64> {
-        let op = self.assemble(state, e_field);
         let mut out = vec![0.0; state.len()];
-        op.apply(state, &mut out);
+        self.jacobian(state, e_field).apply(state, &mut out);
         out
     }
 
@@ -474,6 +553,38 @@ mod tests {
                     (v1 - v0 - want).abs() < 1e-12 * (1.0 + want.abs()),
                     "species {s} entry {k}"
                 );
+            }
+        }
+    }
+
+    /// `assemble().mats` holds, bit for bit, the entries the solver refill
+    /// and the fused fill read (`Jacobian::entry`), and the residual's
+    /// one-pass product equals `Csr::matvec_into` on those matrices.
+    #[test]
+    fn every_consumer_reads_the_materialised_bits() {
+        let mut op = small_operator(Backend::Cpu);
+        let state = op.initial_state();
+        let n = op.n();
+        let x: Vec<f64> = (0..state.len())
+            .map(|i| state[i] * (1.0 + 0.3 * ((i % 7) as f64 - 3.0)))
+            .collect();
+        for e_field in [0.0, 0.4] {
+            let mats = op.assemble(&state, e_field).mats;
+            let jac = op.jacobian(&state, e_field);
+            let mut y = vec![0.0; x.len()];
+            jac.apply(&x, &mut y);
+            for (a, m) in mats.iter().enumerate() {
+                for (o, v) in m.vals.iter().enumerate() {
+                    assert_eq!(
+                        v.to_bits(),
+                        jac.entry(a, o).to_bits(),
+                        "species {a} slot {o}"
+                    );
+                }
+                let want = m.matvec(&x[a * n..(a + 1) * n]);
+                for (w, got) in want.iter().zip(&y[a * n..(a + 1) * n]) {
+                    assert_eq!(w.to_bits(), got.to_bits(), "species {a}");
+                }
             }
         }
     }

@@ -12,10 +12,9 @@
 
 use crate::invariants::{ConservationMonitor, StepContext, Watchdog};
 use crate::moments::Moments;
-use crate::operator::LandauOperator;
+use crate::operator::{Jacobian, LandauOperator};
 use crate::tensor_cache::TensorTable;
 use landau_sparse::band::BlockBandSolver;
-use landau_sparse::csr::Csr;
 use landau_sparse::vecops;
 use landau_vgpu::fault::{FaultKind, SITE_LU_FACTOR};
 use std::fmt;
@@ -337,14 +336,14 @@ impl TimeIntegrator {
     }
 
     /// Residual `R = M(f − f^n) − Δt[θ(Lf + Ms) + (1−θ)rhs_old]`, where
-    /// `rhs_old` is the explicit part (precomputed). Takes the per-species
-    /// matrices directly (not an `AssembledOperator`) so the fused batch
-    /// orchestrator can evaluate it over its reusable lane workspaces, and
-    /// its work vectors from the caller's scratch.
+    /// `rhs_old` is the explicit part (precomputed). Takes the Jacobian
+    /// by reference so the fused batch orchestrator can evaluate it over
+    /// its reusable lane workspaces, and its work vectors from the
+    /// caller's scratch.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn residual(
         &self,
-        mats: &[Csr],
+        jac: &Jacobian,
         f: &[f64],
         fn_old: &[f64],
         source: Option<&[f64]>,
@@ -355,15 +354,12 @@ impl TimeIntegrator {
         scratch: &mut ResidualScratch,
     ) {
         let n = self.op.n();
-        let ns = mats.len();
         let ResidualScratch { lf, df, mv } = scratch;
         lf.resize(f.len(), 0.0);
         df.resize(n, 0.0);
         mv.resize(n, 0.0);
-        for (s, m) in mats.iter().enumerate() {
-            m.matvec_into(&f[s * n..(s + 1) * n], &mut lf[s * n..(s + 1) * n]);
-        }
-        for a in 0..ns {
+        jac.apply(f, lf);
+        for a in 0..jac.factors.len() {
             let fs = &f[a * n..(a + 1) * n];
             let fo = &fn_old[a * n..(a + 1) * n];
             for (d, (x, y)) in df.iter_mut().zip(fs.iter().zip(fo)) {
@@ -477,10 +473,10 @@ impl TimeIntegrator {
             let _sp_iter = landau_obs::span(landau_obs::names::NEWTON_ITER);
             // Assemble L(f_k) — recomputed every iteration (quasi-Newton).
             let t0 = Instant::now();
-            let assembled = self.op.assemble(state, e_field);
+            let jac = self.op.jacobian(state, e_field);
             lane.stats.t_landau += t0.elapsed().as_secs_f64();
 
-            let rnorm = lane.residual_norm(self, &assembled.mats, state, source, res_scratch);
+            let rnorm = lane.residual_norm(self, &jac, state, source, res_scratch);
             if !lane.judge(self, rnorm) {
                 break;
             }
@@ -492,11 +488,9 @@ impl TimeIntegrator {
             let (mass, map) = (&self.op.mass, self.op.band_map());
             let solver = self
                 .solver
-                .get_or_insert_with(|| BlockBandSolver::from_map(map, assembled.mats.len()));
+                .get_or_insert_with(|| BlockBandSolver::from_map(map, jac.factors.len()));
             let neg_gamma = -(dt * lane.theta);
-            solver.refill(map, |a, o| {
-                mass.vals[o] + neg_gamma * assembled.mats[a].vals[o]
-            });
+            solver.refill(map, |a, o| mass.vals[o] + neg_gamma * jac.entry(a, o));
             // Seeded fault injection (resilience tests): poison one species
             // block when an armed plan is due. Disarmed: one atomic load.
             if let Some(f) = self.op.device.poll_fault(SITE_LU_FACTOR, solver.n_blocks()) {
@@ -541,10 +535,10 @@ impl TimeIntegrator {
                     }
                     if all_finite(&cand) {
                         let t0 = Instant::now();
-                        let trial = self.op.assemble(&cand, e_field);
+                        let trial = self.op.jacobian(&cand, e_field);
                         lane.stats.t_landau += t0.elapsed().as_secs_f64();
                         self.residual(
-                            &trial.mats,
+                            &trial,
                             &cand,
                             &lane.fn_old,
                             source,
@@ -708,14 +702,14 @@ impl NewtonLane {
     pub(crate) fn residual_norm(
         &mut self,
         ti: &TimeIntegrator,
-        mats: &[Csr],
+        jac: &Jacobian,
         state: &[f64],
         source: Option<&[f64]>,
         scratch: &mut ResidualScratch,
     ) -> f64 {
         let _sp = landau_obs::span(landau_obs::names::RESIDUAL);
         ti.residual(
-            mats,
+            jac,
             state,
             &self.fn_old,
             source,

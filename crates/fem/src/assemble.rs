@@ -107,6 +107,12 @@ impl ScatterMap {
         }
     }
 
+    /// Targets of one scatter of every element: the adds it issues when no
+    /// element-matrix entry is zero.
+    pub fn targets(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Stored entries of the pattern the slots index into.
     pub fn nnz(&self) -> usize {
         self.nnz

@@ -9,18 +9,23 @@
 //!   second column and staged the species sums per `(test point, tile)`.
 //! * [`host_loop_advance`] — the batch advanced one vertex at a time, each
 //!   through its own solo stepper.
+//! * [`species_tail`] — the Jacobian tail with one element matrix and one
+//!   scatter per species ([`landau_element_matrices`]).
 
 use landau_core::fault_sites::SITE_LU_FACTOR;
 use landau_core::ipdata::IpData;
-use landau_core::kernels::IpCoeffs;
+use landau_core::kernels::{assemble_atomic, assemble_setvalues, IpCoeffs};
+use landau_core::operator::AssemblyPath;
 use landau_core::solver::{NonFiniteSite, SolveError, StepStats, ThetaMethod};
 use landau_core::tensor::landau_tensor_2d;
 use landau_core::{BatchStats, BatchedAdvance, VertexStats};
 use landau_core::{FaultKind, LandauOperator, SpeciesList};
+use landau_fem::FemSpace;
 use landau_par::prelude::*;
 use landau_sparse::csr::Csr;
 use landau_sparse::rcm::bandwidth;
 use landau_sparse::vecops;
+use landau_vgpu::Tally;
 
 /// The scalar full-band LU that `landau_sparse::band::BandMatrix` ran
 /// before it swept envelope-bounded row slices: bounds-checked
@@ -679,6 +684,102 @@ pub fn host_loop_advance(
         dt_fraction_min: (per_vertex.iter().map(|v| v.dt_fraction_min)).fold(1.0, f64::min),
         per_vertex,
         ..Default::default()
+    }
+}
+
+/// The transform stage as it was when every species built its own element
+/// matrix: the species scaling applied per integration point inside the
+/// element loop (Algorithm 1, lines 14–15 and 19–20), `ns` scaled blocks
+/// per element. `landau_core::kernels::landau_element_matrices` builds the
+/// two unscaled blocks `A_K`, `A_D` instead; species α's block is
+/// `k_α A_K + d_α A_D`, within roundoff of this one.
+///
+/// Returns `ce[e][α][b_test][b_trial]` flattened, plus the stage tally.
+pub fn landau_element_matrices(
+    space: &FemSpace,
+    species: &SpeciesList,
+    ip: &IpData,
+    coeffs: &IpCoeffs,
+) -> (Vec<f64>, Tally) {
+    let ns = species.len();
+    let nb = space.tab.nb;
+    let nq = space.tab.nq;
+    let block = ns * nb * nb;
+    let mut ce = vec![0.0; space.n_elements() * block];
+    // Per-species scale factors (ν = 1 in nondimensional units).
+    let kscale: Vec<f64> = species
+        .list
+        .iter()
+        .map(|s| s.charge * s.charge / s.mass)
+        .collect();
+    let dscale: Vec<f64> = species
+        .list
+        .iter()
+        .map(|s| -s.charge * s.charge / (s.mass * s.mass))
+        .collect();
+    let tally: Tally = ce
+        .par_chunks_mut(block)
+        .enumerate()
+        .map(|(e, cee)| {
+            let el = &space.elements[e];
+            let gs = el.grad_scale();
+            let mut t = Tally::new();
+            for q in 0..nq {
+                let gi = e * nq + q;
+                let w = ip.w[gi];
+                let gk = coeffs.gk[gi];
+                let gd = coeffs.gd[gi];
+                let b = &space.tab.b[q * nb..(q + 1) * nb];
+                let dx = &space.tab.dxi[q * nb..(q + 1) * nb];
+                let dy = &space.tab.deta[q * nb..(q + 1) * nb];
+                for (a, (&ks, &ds)) in kscale.iter().zip(&dscale).enumerate() {
+                    // Lines 14–15 & 19–20: species scaling and the map to
+                    // the global basis (diagonal J ⇒ scale by 2/h).
+                    let kvec = [w * ks * gk[0], w * ks * gk[1]];
+                    let dmat = [w * ds * gd[0], w * ds * gd[1], w * ds * gd[2]];
+                    let cea = &mut cee[a * nb * nb..(a + 1) * nb * nb];
+                    for bt in 0..nb {
+                        let gtr = gs * dx[bt];
+                        let gtz = gs * dy[bt];
+                        let kdot = gtr * kvec[0] + gtz * kvec[1];
+                        let dr = gtr * dmat[0] + gtz * dmat[1];
+                        let dz = gtr * dmat[1] + gtz * dmat[2];
+                        let row = &mut cea[bt * nb..(bt + 1) * nb];
+                        for bj in 0..nb {
+                            row[bj] += kdot * b[bj] + gs * (dr * dx[bj] + dz * dy[bj]);
+                        }
+                    }
+                }
+            }
+            t.flops += (nq * ns * nb * (8 + nb * 6)) as u64;
+            t.dram_write += (block * 8) as u64;
+            t
+        })
+        .reduce(Tally::new, |a, b| a + b);
+    (ce, tally)
+}
+
+/// `LandauOperator::assemble_tail` as it was when the Jacobian was `S`
+/// species matrices: [`landau_element_matrices`] above, one scatter per
+/// species into `mats` (`S` matrices on the operator's pattern, zeroed by
+/// the scatter) and the field term `−(q_α/m_α)E D_z` added to each. The
+/// scatter is `MatSetValues` for a `SetValues` operator and the atomic one
+/// otherwise. The production tail's materialised matrices
+/// (`LandauOperator::assemble`) stay within roundoff of these.
+pub fn species_tail(op: &LandauOperator, coeffs: &IpCoeffs, e_field: f64, mats: &mut [Csr]) {
+    let ns = op.species.len();
+    assert_eq!(mats.len(), ns);
+    let (ce, _) = landau_element_matrices(&op.space, &op.species, &op.ipdata, coeffs);
+    match op.assembly {
+        AssemblyPath::SetValues => assemble_setvalues(&op.space, ns, &ce, mats),
+        AssemblyPath::Atomic | AssemblyPath::Colored => {
+            assemble_atomic(&op.space, ns, &ce, mats);
+        }
+    }
+    if e_field != 0.0 {
+        for (s, sp) in op.species.list.iter().enumerate() {
+            mats[s].axpy_same_pattern(-(sp.charge / sp.mass) * e_field, &op.dz);
+        }
     }
 }
 
