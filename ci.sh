@@ -76,7 +76,7 @@ run_bench() {
   echo "== invariants bench (quick gate: conservation drift ceilings + entropy floor)"
   cargo bench -q -p landau-bench --bench invariants -- --quick
 
-  echo "== batch scaling bench (quick gate: fused/host bitwise identity; fused throughput vs baseline)"
+  echo "== batch scaling bench (quick gate: pool-sweep/host bitwise identity; pool-sweep throughput vs baseline)"
   cargo bench -q -p landau-bench --bench batch_scaling -- --quick
 
   echo "== solver bench (quick gate: envelope band LU bitwise vs scalar reference + 4x speedup)"

@@ -1,18 +1,21 @@
-//! Fused batched Newton throughput vs batch size (the sequel paper's
-//! batched-solver scaling figures).
+//! Batched Newton throughput vs batch size (the sequel paper's
+//! batched-solver scaling figures), for the batch's one engine: a pool
+//! sweep in which every vertex runs its own stepper.
 //!
 //! Stages:
-//!   1. *Verification* — the fused advance and the per-vertex host loop
+//!   1. *Verification* — the pool sweep and the per-vertex host loop
 //!      (`landau_testkit::oracle::host_loop_advance`) of the same batch
 //!      must agree **bitwise** on every vertex state before any timing is
 //!      trusted (`batch_bitwise_identical`, gated exactly).
-//!   2. *Scaling* — productive Newton iterations per second of the fused
-//!      pipeline at 1/16/64/256/1024 vertices, gated against the committed
-//!      baseline (`newton_per_sec_fused_*` may not fall under 0.6× of it),
+//!   2. *Scaling* — productive Newton iterations per second of the pool
+//!      sweep at 1/16/64/256/1024 vertices, gated against the committed
+//!      baseline (`newton_per_sec_fused_*`, named for the fused lockstep
+//!      orchestrator the sweep replaced, may not fall under 0.6× of it),
 //!      plus the reference host loop at 256 and 1024. The host loop is the
 //!      bitwise oracle, not a competitor: `speedup_256`/`speedup_1024` are
 //!      reported for the record only. Both sides run on one pool thread,
-//!      so the ratio compares pipelines rather than thread counts.
+//!      so the ratio compares the sweep's bookkeeping with the plain loop
+//!      rather than thread counts.
 //!
 //! Plain timing harness (`harness = false`):
 //! `cargo bench -p landau-bench --bench batch_scaling -- --quick`.
@@ -60,8 +63,8 @@ fn plasma() -> SpeciesList {
     ])
 }
 
-/// Advance a fresh batch with `advance` (the fused pipeline, or the
-/// host-loop oracle) and return (productive newton it/s, the stats).
+/// Advance a fresh batch with `advance` (the pool sweep, or the host-loop
+/// oracle) and return (productive newton it/s, the stats).
 fn run(
     space: &FemSpace,
     n_vertices: usize,
@@ -84,13 +87,13 @@ fn main() {
     // --- Stage 1: bitwise gate -------------------------------------------
     let mut host = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 8);
     let hs = host_loop_advance(&mut host, DT, steps, 0.0);
-    let mut fused = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 8);
-    let fs = fused.advance(DT, steps, 0.0);
-    let identical = host.states.iter().zip(&fused.states).all(|(a, b)| {
+    let mut pool = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 8);
+    let fs = pool.advance(DT, steps, 0.0);
+    let identical = host.states.iter().zip(&pool.states).all(|(a, b)| {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     });
     println!(
-        "verify: fused vs host loop on 8 vertices x {steps} steps: {} \
+        "verify: pool sweep vs host loop on 8 vertices x {steps} steps: {} \
          ({} vs {} Newton iters)",
         if identical {
             "bitwise identical"
@@ -100,47 +103,36 @@ fn main() {
         fs.newton_iters,
         hs.newton_iters,
     );
-    assert!(identical, "fused pipeline diverged from the host loop");
+    assert!(identical, "pool sweep diverged from the host loop");
     assert_eq!(fs.newton_iters, hs.newton_iters);
     json.push(("batch_bitwise_identical".into(), 1.0));
 
     // --- Stage 2: throughput scaling -------------------------------------
     println!(
-        "\n{:>9} {:>14} {:>10} {:>12} {:>10}",
-        "vertices", "newton it/s", "launches", "lanes/launch", "seconds"
+        "\n{:>9} {:>14} {:>10}",
+        "vertices", "newton it/s", "seconds"
     );
-    let mut fused_at = std::collections::BTreeMap::new();
+    let mut pool_at = std::collections::BTreeMap::new();
     for &nv in &COUNTS {
         let (nps, st) = run(&space, nv, |b| b.advance(DT, steps, 0.0));
-        let lanes_per_launch = if st.launches == 0 {
-            0.0
-        } else {
-            st.active_lane_sum as f64 / st.launches as f64
-        };
-        println!(
-            "{nv:>9} {nps:>14.1} {:>10} {lanes_per_launch:>12.1} {:>10.2}",
-            st.launches, st.seconds
-        );
+        println!("{nv:>9} {nps:>14.1} {:>10.2} (pool sweep)", st.seconds);
         json.push((format!("newton_per_sec_fused_{nv}"), nps));
-        fused_at.insert(nv, nps);
+        pool_at.insert(nv, nps);
     }
     for &nv in &[256usize, 1024] {
         let (nps, st) = run(&space, nv, |b| host_loop_advance(b, DT, steps, 0.0));
-        println!(
-            "{nv:>9} {nps:>14.1} {:>10} {:>12} {:>10.2} (host loop)",
-            0, "-", st.seconds
-        );
+        println!("{nv:>9} {nps:>14.1} {:>10.2} (host loop)", st.seconds);
         json.push((format!("newton_per_sec_host_{nv}"), nps));
-        let speedup = fused_at[&nv] / nps;
+        let speedup = pool_at[&nv] / nps;
         println!("          speedup at {nv}: {speedup:.2}x (not gated)");
         json.push((format!("speedup_{nv}"), speedup));
     }
-    // Single-vertex fused vs itself is the no-amortization floor; report
-    // the scaling ratio so regressions in large-batch amortization show
-    // up even if absolute rates drift.
+    // The 256-vertex rate over the single-vertex one; report the scaling
+    // ratio so regressions in large-batch throughput show up even if
+    // absolute rates drift.
     json.push((
         "fused_scaling_256_over_1".into(),
-        fused_at[&256] / fused_at[&1],
+        pool_at[&256] / pool_at[&1],
     ));
 
     let path = write_bench_json("BENCH_batch_scaling.json", &json);

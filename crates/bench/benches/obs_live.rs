@@ -66,7 +66,7 @@ fn main() {
     };
     let mut arm_on = mk();
     let mut arm_off = mk();
-    // Warm-up: build each batch's fused workspace outside the timed arms.
+    // Warm-up: one advance per arm outside the timed arms.
     journal.set_enabled(true);
     arm_on.advance(dt, 1, 0.0);
     journal.set_enabled(false);

@@ -277,7 +277,7 @@ fn main() {
     // table each, where the two 62.5 MB allocations happen to land moves an
     // arm by ±1.5 %, which is the whole ceiling.
     let mut no_ck = mk();
-    // Warm-up: build each batch's fused workspace outside the timed arms.
+    // Warm-up: one advance per arm outside the timed arms.
     with_ck.advance(dt, 1, 0.0);
     no_ck.advance(dt, 1, 0.0);
     // Min-of-5 of alternating segments: (arm A seconds, arm B seconds).

@@ -139,7 +139,8 @@ fn rule_for(name: &str) -> Rule {
         // the closed form's AGM never converged early; 1.4 is where the
         // table has lost half of what it buys.
         "speedup" => Rule::Floor(1.4),
-        // Fused-batch throughput holds against its own committed baseline.
+        // Batch throughput (the pool sweep; the names predate it) holds
+        // against its own committed baseline.
         // Its ratio to the host loop (`speedup_256/1024`) falls through to
         // info: the host loop is the bitwise oracle, and it gets faster
         // whenever the solo path does.

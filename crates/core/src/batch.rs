@@ -7,21 +7,19 @@
 //! resulting task parallelism from MPI ranks; its conclusion names the
 //! *batching* of multiple spatial vertices as the planned improvement.
 //!
-//! [`BatchedAdvance::advance`] executes the whole fleet's Newton pipeline as
-//! *one* batched launch per stage — one Jacobian kernel over all (lane,
-//! element) blocks, one lockstep banded LU over the lane SoA, one strided
-//! triangular solve — with a per-vertex active mask so converged and
-//! failed vertices retire without desynchronizing the rest (the sequel
-//! paper's batched-solver design). The batch is built *on* one
-//! [`Geometry`]: every vertex's operator holds the same `Arc`, so mesh,
-//! ordering, band map and tensor table are shared by construction, and per
-//! vertex only the fields, counters and solver state are allocated. Per
-//! vertex the result is bitwise what
-//! that vertex's own [`AdaptiveStepper`] would produce alone;
-//! `landau_testkit::oracle::host_loop_advance` is that per-vertex loop, kept
-//! as the reference the tests compare against.
+//! [`BatchedAdvance::advance`] is one pool sweep over the fleet: every
+//! vertex is a lane that runs its own [`AdaptiveStepper`] through the
+//! requested macro steps, and the lanes are split over the `landau-par`
+//! workers. The sweeps inside a lane (kernel, assembly) are nested, so
+//! they run inline on the lane's thread over the same parts they would
+//! use alone, and each vertex's result is bitwise what its stepper
+//! produces alone; `landau_testkit::oracle::host_loop_advance` is that
+//! per-vertex loop, kept as the reference the tests compare against. The
+//! batch is built *on* one [`Geometry`]: every vertex's operator holds the
+//! same `Arc`, so mesh, ordering, band map and tensor table are shared by
+//! construction, and per vertex only the fields, counters and solver state
+//! are allocated.
 
-use crate::batch_fused::{fused_macro_step, FusedCounters, FusedWorkspace};
 use crate::ckpt::{
     decode_fault_cursor, decode_stepper_ckpt, encode_fault_cursor, encode_stepper_ckpt, ByteReader,
     ByteWriter, CheckpointPolicy, CkptError, CkptHook, Storage,
@@ -29,42 +27,31 @@ use crate::ckpt::{
 use crate::geometry::Geometry;
 use crate::invariants::{ConservationMonitor, Watchdog};
 use crate::operator::{Backend, LandauOperator};
-use crate::recover::{AdaptiveStepper, RecoveryStats};
-use crate::solver::{StepStats, ThetaMethod, TimeIntegrator};
+use crate::recover::AdaptiveStepper;
+use crate::solver::{ThetaMethod, TimeIntegrator};
 use crate::species::SpeciesList;
 use crate::tensor_cache::{TensorTable, DEFAULT_BUDGET_BYTES};
 use landau_fem::FemSpace;
 use landau_obs::MetricRegistry;
+use landau_par::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Execution rung of one vertex lane in the graceful-degradation ladder.
-///
-/// A lane that keeps falling off the fused lockstep (every step needs
-/// recovery, or a step fails terminally) is demoted one rung at a time
-/// instead of taking the whole batch down or silently burning lockstep
-/// rounds:
-///
-/// 1. [`LaneMode::Fused`] — rides the batched launches (the default);
-/// 2. [`LaneMode::Host`] — excluded from the lockstep, advanced through
-///    the per-vertex reference pipeline (same arithmetic, so healthy
-///    results stay bitwise identical);
-/// 3. checkpoint rollback — on a host-rung terminal failure the lane is
-///    rolled back to its last good state with `Δt` pinned at the policy
-///    floor for one final attempt;
-/// 4. [`LaneMode::Failed`] — retired at its last good state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneMode {
-    /// Riding the fused batched launches.
-    Fused,
-    /// Demoted to the per-vertex host pipeline.
-    Host,
-    /// Retired: recovery, demotion and rollback were all exhausted.
-    Failed,
-}
-
 /// Version tag of the batched-advance checkpoint payload.
 const BATCH_CKPT_VERSION: u32 = 1;
+
+/// Where one vertex lane stands on the failure ladder. A terminal
+/// failure (the stepper's retry budget spent) takes the rollback rung
+/// once per lane: the lane returns to its stepper's last good state and
+/// retries with `Δt` pinned at the policy floor. A second terminal
+/// failure retires the lane at its last good state.
+#[derive(Clone, Copy, Debug, Default)]
+struct Lane {
+    /// The rollback rung has been used.
+    rolled_back: bool,
+    /// Retired: later advances skip the lane and report it failed.
+    failed: bool,
+}
 
 /// A batch of independent vertex problems on one [`Geometry`]: one mesh,
 /// one ordering and one tensor table streamed by every vertex's Jacobian
@@ -77,17 +64,8 @@ pub struct BatchedAdvance {
     /// Defaults to the process-global registry; swap with
     /// [`Self::set_metric_registry`] for isolated accounting.
     metrics: Arc<MetricRegistry>,
-    /// Lazily built reusable storage for the fused pipeline.
-    fused_ws: Option<FusedWorkspace>,
-    /// Degradation-ladder rung per vertex.
-    lane_modes: Vec<LaneMode>,
-    /// Consecutive fused macro steps a lane needed recovery on.
-    lane_bad_streak: Vec<u32>,
-    /// Whether the checkpoint-rollback rung has been consumed.
-    lane_rolled_back: Vec<bool>,
-    /// Recovered-step streak length that demotes a fused lane to the host
-    /// rung.
-    demote_after: u32,
+    /// Failure-ladder position per vertex.
+    lanes: Vec<Lane>,
     /// Stats merged across every advance (and across resumes).
     cumulative: BatchStats,
     /// Macro steps completed over the batch's lifetime (checkpoint clock).
@@ -98,7 +76,7 @@ pub struct BatchedAdvance {
 /// Per-vertex outcome of a batched advance: the recovery layer isolates
 /// failures, so one pathological vertex reports here instead of taking
 /// down the fleet.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VertexStats {
     /// Newton iterations this vertex performed (successful steps only).
     pub newton_iters: usize,
@@ -146,26 +124,28 @@ pub struct BatchStats {
     pub retried: usize,
     /// Smallest substep fraction attempted across the batch.
     pub dt_fraction_min: f64,
-    /// Fused grid launches issued.
+    /// Lockstep-launch counters of the fused orchestrator this engine
+    /// replaced. A pool sweep issues no batched launches and runs no
+    /// lockstep rounds, so the four raw counters and
+    /// [`Self::retired_per_newton`] read 0 for every advance; they stay
+    /// for readers of older stats and checkpoints, whose cumulative
+    /// counters still merge and resume.
     pub launches: u64,
-    /// Sum over fused kernel launches of the live-lane count — divide by
-    /// [`Self::launches`] for mean occupancy of the batched geometry.
+    /// Lockstep counter, 0 (see [`Self::launches`]).
     pub active_lane_sum: u64,
-    /// Lanes that retired (converged or failed) during lockstep — the raw
-    /// numerator of [`Self::retired_per_newton`], kept so
-    /// [`Self::merge`] can recompute the ratio exactly across segments.
+    /// Lockstep counter, 0 (see [`Self::launches`]).
     pub lockstep_retired: u64,
-    /// Lockstep Newton rounds run — the raw denominator of
-    /// [`Self::retired_per_newton`].
+    /// Lockstep counter, 0 (see [`Self::launches`]).
     pub newton_rounds: u64,
-    /// Lanes retired (converged or failed) per lockstep Newton round.
+    /// `lockstep_retired / newton_rounds`, 0 when no round ran (see
+    /// [`Self::launches`]).
     pub retired_per_newton: f64,
     /// Per-vertex breakdown (same order as [`BatchedAdvance::states`]).
     pub per_vertex: Vec<VertexStats>,
 }
 
 impl BatchStats {
-    fn build(per_vertex: Vec<VertexStats>, seconds: f64, counters: FusedCounters) -> Self {
+    fn build(per_vertex: Vec<VertexStats>, seconds: f64) -> Self {
         let mut stats = BatchStats {
             newton_iters: per_vertex.iter().map(|v| v.newton_iters).sum(),
             productive_newton_iters: per_vertex
@@ -179,10 +159,6 @@ impl BatchStats {
                 .iter()
                 .map(|v| v.dt_fraction_min)
                 .fold(1.0, f64::min),
-            launches: counters.launches,
-            active_lane_sum: counters.active_lane_sum,
-            lockstep_retired: counters.retired,
-            newton_rounds: counters.newton_rounds,
             per_vertex,
             ..Default::default()
         };
@@ -245,18 +221,15 @@ impl BatchStats {
     }
 
     /// Publish this advance's aggregate into `reg` under `batch.*`:
-    /// counters for iteration/advance/failure/launch totals, max-gauges
-    /// for throughput and retirement rate, and a histogram of per-vertex
-    /// Newton work (the load balance signal across the fleet).
+    /// counters for iteration/advance/failure totals, a max-gauge for
+    /// throughput, and a histogram of per-vertex Newton work (the load
+    /// balance signal across the fleet).
     pub fn publish(&self, reg: &MetricRegistry) {
         reg.add("batch.newton_iters", self.newton_iters as u64);
         reg.add("batch.advances", 1);
         reg.add("batch.failed", self.failed as u64);
         reg.add("batch.retried", self.retried as u64);
-        reg.add("batch.launches", self.launches);
-        reg.add("batch.active_lanes", self.active_lane_sum);
         reg.gauge_max("batch.newton_per_sec", self.newton_per_sec);
-        reg.gauge_max("batch.retired_per_newton", self.retired_per_newton);
         for v in &self.per_vertex {
             reg.observe("batch.vertex_newton_iters", v.newton_iters as u64);
         }
@@ -310,17 +283,13 @@ impl BatchedAdvance {
             })
             .collect();
         BatchedAdvance {
-            lane_modes: vec![LaneMode::Fused; n_vertices],
-            lane_bad_streak: vec![0; n_vertices],
-            lane_rolled_back: vec![false; n_vertices],
-            demote_after: 2,
+            lanes: vec![Lane::default(); n_vertices],
             cumulative: BatchStats::accumulator(),
             macro_steps: 0,
             ckpt: CkptHook::default(),
             steppers,
             states,
             metrics: MetricRegistry::global_arc(),
-            fused_ws: None,
         }
     }
 
@@ -377,20 +346,29 @@ impl BatchedAdvance {
         self.steppers.is_empty()
     }
 
-    /// Heap bytes held by the fused pipeline's reusable workspace (0 until
-    /// the first fused advance builds it).
-    pub fn fused_workspace_bytes(&self) -> usize {
-        self.fused_ws.as_ref().map_or(0, |w| w.approx_heap_bytes())
-    }
-
     /// Advance every vertex by `steps` implicit steps of `dt` and measure
-    /// aggregate throughput: the whole fleet's Newton pipeline executes as
-    /// one batched launch per stage. Each vertex sits behind its own
-    /// recovery wrapper: a vertex that exhausts its retry budget is left
-    /// at its last good state and reported in [`BatchStats::failed`]
-    /// instead of panicking the fleet.
+    /// aggregate throughput: one pool sweep in which every vertex runs its
+    /// own stepper through all `steps`. Each vertex sits behind its own
+    /// recovery wrapper; a terminal failure rolls the vertex back to its
+    /// last good state once, with `Δt` pinned at the policy floor, and a
+    /// vertex that fails again is retired at its last good state and
+    /// reported in [`BatchStats::failed`] instead of panicking the fleet.
     pub fn advance(&mut self, dt: f64, steps: usize, e_field: f64) -> BatchStats {
-        let stats = self.advance_fused(dt, steps, e_field);
+        let sp = landau_obs::span(landau_obs::names::BATCH_ADVANCE);
+        let t0 = Instant::now();
+        let metrics = &*self.metrics;
+        let per_vertex: Vec<VertexStats> = self
+            .steppers
+            .par_iter_mut()
+            .zip(self.states.par_iter_mut())
+            .zip(self.lanes.par_iter_mut())
+            .enumerate()
+            .map(|(v, ((st, state), lane))| {
+                lane.advance(v, st, state, (dt, steps, e_field), metrics)
+            })
+            .collect();
+        let stats = BatchStats::build(per_vertex, t0.elapsed().as_secs_f64());
+        drop(sp);
         stats.publish(&self.metrics);
         self.cumulative.merge(&stats);
         self.macro_steps += steps as u64;
@@ -409,148 +387,6 @@ impl BatchedAdvance {
     /// checkpoint/resume).
     pub fn macro_steps(&self) -> u64 {
         self.macro_steps
-    }
-
-    /// Current degradation-ladder rung of vertex `v`.
-    pub fn lane_mode(&self, v: usize) -> LaneMode {
-        self.lane_modes[v]
-    }
-
-    /// Recovered-step streak length that demotes a fused lane to the host
-    /// rung (default 2).
-    pub fn set_demote_after(&mut self, n: u32) {
-        self.demote_after = n.max(1);
-    }
-
-    /// The fused batched pipeline: one macro step advances every healthy
-    /// vertex through lockstep batched launches (see [`crate::batch_fused`]),
-    /// with the graceful-degradation ladder (see [`LaneMode`]) isolating
-    /// persistently-failing lanes one rung at a time instead of retiring
-    /// them on the first terminal failure.
-    fn advance_fused(&mut self, dt: f64, steps: usize, e_field: f64) -> BatchStats {
-        let _sp = landau_obs::span(landau_obs::names::BATCH_ADVANCE);
-        let t0 = Instant::now();
-        let demote_after = self.demote_after;
-        let BatchedAdvance {
-            steppers,
-            states,
-            fused_ws,
-            lane_modes,
-            lane_bad_streak,
-            lane_rolled_back,
-            metrics,
-            ..
-        } = self;
-        let ws = fused_ws.get_or_insert_with(|| FusedWorkspace::new(steppers));
-        let n_vertices = steppers.len();
-        let mut per_vertex: Vec<VertexStats> =
-            (0..n_vertices).map(|_| VertexStats::fresh()).collect();
-        let mut counters = FusedCounters::default();
-        let mut skip = vec![false; n_vertices];
-        for _ in 0..steps {
-            // Rungs are sampled at macro-step entry: a lane demoted during
-            // this step already advanced (or terminally failed) inside the
-            // ladder below and must not step twice.
-            let mode_at_entry = lane_modes.clone();
-            for v in 0..n_vertices {
-                skip[v] = mode_at_entry[v] != LaneMode::Fused;
-            }
-            let mut outcomes =
-                fused_macro_step(steppers, states, &skip, ws, dt, e_field, &mut counters);
-            for v in 0..n_vertices {
-                let res = match mode_at_entry[v] {
-                    // Retired lanes stay at their last good state but are
-                    // still reported as failed in every segment's stats.
-                    LaneMode::Failed => {
-                        per_vertex[v].failed = true;
-                        None
-                    }
-                    // Demoted lanes run the solo stepper — identical
-                    // arithmetic, so a healthy demoted lane stays bitwise
-                    // equal to the per-vertex reference.
-                    LaneMode::Host => {
-                        metrics.add("degrade.host_steps", 1);
-                        Some(steppers[v].advance(&mut states[v], dt, e_field, None))
-                    }
-                    LaneMode::Fused => outcomes[v].take(),
-                };
-                let Some(res) = res else { continue };
-                match res {
-                    Ok((stats, rec)) => {
-                        record_success(&mut per_vertex[v], &stats, &rec);
-                        if rec.retried == 0 {
-                            lane_bad_streak[v] = 0;
-                        } else {
-                            lane_bad_streak[v] += 1;
-                            if lane_modes[v] == LaneMode::Fused
-                                && lane_bad_streak[v] >= demote_after
-                            {
-                                // Persistently recovering: stop burning
-                                // lockstep rounds on this lane.
-                                lane_modes[v] = LaneMode::Host;
-                                lane_bad_streak[v] = 0;
-                                metrics.add("degrade.demotions", 1);
-                                landau_obs::Journal::global()
-                                    .publish(landau_obs::Event::degrade("host", v as u64));
-                            }
-                        }
-                    }
-                    Err(first) => {
-                        // Terminal failure: escalate down the ladder within
-                        // this macro step until an attempt lands or the
-                        // rungs run out.
-                        let mut f = first;
-                        loop {
-                            per_vertex[v].retried += f.attempts;
-                            per_vertex[v].dt_fraction_min =
-                                per_vertex[v].dt_fraction_min.min(f.dt_fraction);
-                            match lane_modes[v] {
-                                LaneMode::Fused => {
-                                    lane_modes[v] = LaneMode::Host;
-                                    lane_bad_streak[v] = 0;
-                                    metrics.add("degrade.demotions", 1);
-                                    landau_obs::Journal::global()
-                                        .publish(landau_obs::Event::degrade("host", v as u64));
-                                }
-                                LaneMode::Host if !lane_rolled_back[v] => {
-                                    // Final rung before retirement: roll the
-                                    // lane back to its last good state and
-                                    // pin Δt at the policy floor.
-                                    lane_rolled_back[v] = true;
-                                    metrics.add("degrade.rollbacks", 1);
-                                    landau_obs::Journal::global()
-                                        .publish(landau_obs::Event::degrade("rollback", v as u64));
-                                    let st = &mut steppers[v];
-                                    if st.checkpoint().len() == states[v].len() {
-                                        let ck = st.checkpoint().to_vec();
-                                        states[v].copy_from_slice(&ck);
-                                    }
-                                    st.dt_scale = st.cfg.min_dt_fraction;
-                                }
-                                _ => {
-                                    lane_modes[v] = LaneMode::Failed;
-                                    per_vertex[v].failed = true;
-                                    metrics.add("degrade.failed_lanes", 1);
-                                    landau_obs::Journal::global()
-                                        .publish(landau_obs::Event::degrade("failed", v as u64));
-                                    break;
-                                }
-                            }
-                            metrics.add("degrade.host_steps", 1);
-                            match steppers[v].advance(&mut states[v], dt, e_field, None) {
-                                Ok((stats, rec)) => {
-                                    record_success(&mut per_vertex[v], &stats, &rec);
-                                    break;
-                                }
-                                Err(next) => f = next,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        BatchStats::build(per_vertex, seconds, counters)
     }
 
     /// Install a durable checkpoint store and policy on this batch. A
@@ -579,7 +415,7 @@ impl BatchedAdvance {
     /// be constructed with the same geometry and vertex count as the run
     /// that wrote the checkpoint; afterwards, re-advancing the remaining
     /// macro steps reproduces the uninterrupted trajectory bitwise
-    /// (states, stepper policy state, lane rungs and the fault schedule
+    /// (states, stepper policy state, ladder positions and the fault schedule
     /// all resume from the checkpointed cursor).
     pub fn resume_from_checkpoint(&mut self) -> Result<bool, CkptError> {
         let mut hook = std::mem::take(&mut self.ckpt);
@@ -601,7 +437,7 @@ impl BatchedAdvance {
     }
 
     /// Serialize the full batch state: per-vertex states, adaptive-stepper
-    /// policy snapshots, degradation-ladder rungs, per-device fault
+    /// policy snapshots, failure-ladder positions, per-device fault
     /// cursors, and the cumulative stats raw counters.
     fn encode_ckpt(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -611,13 +447,13 @@ impl BatchedAdvance {
         for (v, st) in self.steppers.iter().enumerate() {
             w.put_f64_slice(&self.states[v]);
             encode_stepper_ckpt(&mut w, &st.export_ckpt());
-            w.put_u8(match self.lane_modes[v] {
-                LaneMode::Fused => 0,
-                LaneMode::Host => 1,
-                LaneMode::Failed => 2,
-            });
-            w.put_u64(self.lane_bad_streak[v] as u64);
-            w.put_u8(u8::from(self.lane_rolled_back[v]));
+            // Lane tag (0 live, 2 failed) and a demotion streak that is
+            // always 0: the layout of the two-engine builds, whose tag 1
+            // marked a lane stepping alone, as every lane now does.
+            let lane = self.lanes[v];
+            w.put_u8(if lane.failed { 2 } else { 0 });
+            w.put_u64(0);
+            w.put_u8(u8::from(lane.rolled_back));
             encode_fault_cursor(&mut w, &st.ti.op.device.export_fault_cursor());
         }
         let c = &self.cumulative;
@@ -664,9 +500,7 @@ impl BatchedAdvance {
         let macro_steps = r.get_u64()?;
         let mut states = Vec::with_capacity(n);
         let mut stepper_ckpts = Vec::with_capacity(n);
-        let mut modes = Vec::with_capacity(n);
-        let mut streaks = Vec::with_capacity(n);
-        let mut rolled = Vec::with_capacity(n);
+        let mut lanes = Vec::with_capacity(n);
         let mut cursors = Vec::with_capacity(n);
         for v in 0..n {
             let state = r.get_f64_vec()?;
@@ -681,18 +515,20 @@ impl BatchedAdvance {
             }
             states.push(state);
             stepper_ckpts.push(decode_stepper_ckpt(&mut r)?);
-            modes.push(match r.get_u8()? {
-                0 => LaneMode::Fused,
-                1 => LaneMode::Host,
-                2 => LaneMode::Failed,
+            let failed = match r.get_u8()? {
+                0 | 1 => false,
+                2 => true,
                 t => {
                     return Err(CkptError::Corrupt {
                         reason: format!("unknown lane mode tag {t}"),
                     })
                 }
+            };
+            let _streak = r.get_u64()?;
+            lanes.push(Lane {
+                rolled_back: r.get_u8()? != 0,
+                failed,
             });
-            streaks.push(r.get_u64()? as u32);
-            rolled.push(r.get_u8()? != 0);
             cursors.push(decode_fault_cursor(&mut r)?);
         }
         // Cumulative raw counters, in the order `encode_ckpt` wrote them
@@ -736,9 +572,7 @@ impl BatchedAdvance {
                 .device
                 .restore_fault_cursor(&cursors[v]);
         }
-        self.lane_modes = modes;
-        self.lane_bad_streak = streaks;
-        self.lane_rolled_back = rolled;
+        self.lanes = lanes;
         self.cumulative = cumulative;
         Ok(())
     }
@@ -753,11 +587,51 @@ impl BatchedAdvance {
     }
 }
 
-/// Fold one successful advance into a vertex's per-advance breakdown.
-fn record_success(vs: &mut VertexStats, stats: &StepStats, rec: &RecoveryStats) {
-    vs.newton_iters += stats.newton_iters;
-    vs.retried += rec.retried;
-    vs.dt_fraction_min = vs.dt_fraction_min.min(rec.dt_fraction_min);
+impl Lane {
+    /// Run vertex `v` through `steps` macro steps of its own stepper,
+    /// climbing the ladder on terminal failures.
+    fn advance(
+        &mut self,
+        v: usize,
+        st: &mut AdaptiveStepper,
+        state: &mut [f64],
+        (dt, steps, e_field): (f64, usize, f64),
+        metrics: &MetricRegistry,
+    ) -> VertexStats {
+        let mut vs = VertexStats::fresh();
+        for _ in 0..steps {
+            if self.failed {
+                break;
+            }
+            let mut res = st.advance(state, dt, e_field, None);
+            while let Err(f) = res {
+                vs.retried += f.attempts;
+                vs.dt_fraction_min = vs.dt_fraction_min.min(f.dt_fraction);
+                let journal = landau_obs::Journal::global();
+                if self.rolled_back {
+                    self.failed = true;
+                    metrics.add("degrade.failed_lanes", 1);
+                    journal.publish(landau_obs::Event::degrade("failed", v as u64));
+                    break;
+                }
+                self.rolled_back = true;
+                metrics.add("degrade.rollbacks", 1);
+                journal.publish(landau_obs::Event::degrade("rollback", v as u64));
+                if st.checkpoint().len() == state.len() {
+                    state.copy_from_slice(st.checkpoint());
+                }
+                st.dt_scale = st.cfg.min_dt_fraction;
+                res = st.advance(state, dt, e_field, None);
+            }
+            if let Ok((stats, rec)) = res {
+                vs.newton_iters += stats.newton_iters;
+                vs.retried += rec.retried;
+                vs.dt_fraction_min = vs.dt_fraction_min.min(rec.dt_fraction_min);
+            }
+        }
+        vs.failed = self.failed;
+        vs
+    }
 }
 
 #[cfg(test)]
@@ -814,9 +688,9 @@ mod tests {
         let space = tiny_space();
         let mut plain = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 2);
         plain.advance(0.4, 1, 0.0);
-        // Recording off: the fused launches skip span bookkeeping but must
-        // produce bit-identical states (instrumentation never touches
-        // solver arithmetic).
+        // Recording off: the lanes skip span bookkeeping but must produce
+        // bit-identical states (instrumentation never touches solver
+        // arithmetic).
         let was = landau_obs::recording();
         landau_obs::set_recording(false);
         let mut quiet = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 2);
@@ -851,12 +725,10 @@ mod tests {
     }
 
     #[test]
-    fn every_vertex_and_the_workspace_sit_on_one_geometry() {
+    fn every_vertex_sits_on_one_geometry() {
         let mut batch = BatchedAdvance::new(&tiny_space(), &plasma(), Backend::Cpu, 64);
         batch.advance(0.4, 1, 0.0);
         let op0 = &batch.steppers[0].ti.op;
-        let ws = batch.fused_ws.as_ref().expect("built by the first advance");
-        assert!(Arc::ptr_eq(&ws.geom, op0.geometry()));
         assert!(Arc::ptr_eq(batch.space(), &op0.space));
         for st in &batch.steppers {
             // Not merely equal: the very same matrix, band map and table.
@@ -928,62 +800,13 @@ mod tests {
     }
 
     #[test]
-    fn fused_only_fault_demotes_lane_to_host_rung() {
-        use landau_vgpu::fault::SITE_BATCHED_FACTOR;
-        let space = tiny_space();
-        let mut plain = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
-        plain.advance(0.4, 4, 0.0);
-
-        // The batched-factor site exists only on the fused path: a lane
-        // whose batched factorization is persistently singular recovers
-        // through the host pipeline every step, so after `demote_after`
-        // retried steps the ladder moves it to the Host rung — where the
-        // fault simply no longer fires.
-        let mut b = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
-        let reg = Arc::new(MetricRegistry::new());
-        b.set_metric_registry(Arc::clone(&reg));
-        b.stepper(1)
-            .ti
-            .op
-            .device
-            .arm_faults(FaultPlan::seeded(11).with_repeated(
-                SITE_BATCHED_FACTOR,
-                0,
-                1_000_000,
-                FaultKind::SingularBlock,
-            ));
-        let stats = b.advance(0.4, 4, 0.0);
-        assert_eq!(
-            stats.failed, 0,
-            "host rung must absorb the fault: {stats:?}"
-        );
-        assert_eq!(b.lane_mode(0), LaneMode::Fused);
-        assert_eq!(b.lane_mode(1), LaneMode::Host);
-        assert_eq!(b.lane_mode(2), LaneMode::Fused);
-        assert!(stats.per_vertex[1].retried > 0, "{stats:?}");
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("degrade.demotions"), 1);
-        assert!(snap.counter("degrade.host_steps") >= 2, "{snap:?}");
-        assert_eq!(snap.counter("degrade.rollbacks"), 0);
-        assert_eq!(snap.counter("degrade.failed_lanes"), 0);
-        // Lanes that never faulted are untouched by their neighbour's
-        // demotion: bitwise equal to the unfaulted fleet.
-        for v in [0usize, 2] {
-            for (i, (x, y)) in plain.states[v].iter().zip(&b.states[v]).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "vertex {v} dof {i}");
-            }
-        }
-        // The demoted lane kept advancing through the host pipeline.
-        assert!(b.electron_temperatures()[1].is_finite());
-    }
-
-    #[test]
     fn ladder_exhausts_to_failed_with_telemetry() {
         let space = tiny_space();
-        // The host LU-factor site fires on every rung: fused attempt,
-        // host retry, and the post-rollback dt-floor retry all hit the
-        // same singular block, so the lane must walk the whole ladder
-        // (demote → rollback → Failed) and then be skipped.
+        // The LU-factor site fires on every attempt: the stepper's own
+        // recovery (damped retry, Δt halving) and the post-rollback
+        // dt-floor retry all hit the same singular block, so the lane
+        // walks the whole ladder (recovery → rollback → failed) within
+        // the first macro step and is then skipped.
         let mut b = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
         let reg = Arc::new(MetricRegistry::new());
         b.set_metric_registry(Arc::clone(&reg));
@@ -997,66 +820,36 @@ mod tests {
                 1_000_000,
                 FaultKind::SingularBlock,
             ));
+        let entry = b.states[1].clone();
         let stats = b.advance(0.4, 3, 0.0);
         assert_eq!(stats.failed, 1, "{stats:?}");
-        assert_eq!(b.lane_mode(1), LaneMode::Failed);
+        assert!(stats.per_vertex[1].failed);
+        assert_eq!(stats.per_vertex[1].newton_iters, 0);
+        // Two terminal failures, each charged: the stepper's budget, then
+        // the floor attempt after the rollback.
+        assert!(stats.per_vertex[1].retried >= 2, "{stats:?}");
+        assert_eq!(
+            stats.per_vertex[1].dt_fraction_min,
+            b.stepper(1).cfg.min_dt_fraction
+        );
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("degrade.demotions"), 1);
         assert_eq!(snap.counter("degrade.rollbacks"), 1);
         assert_eq!(snap.counter("degrade.failed_lanes"), 1);
-        // A Failed lane is retired exactly once; later macro steps skip
+        // Retired at its last good state: the entry state, bit for bit.
+        for (i, (x, y)) in entry.iter().zip(&b.states[1]).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "dof {i}");
+        }
+        // A failed lane is retired exactly once; later macro steps skip
         // it instead of re-walking the ladder.
         let stats2 = b.advance(0.4, 2, 0.0);
         assert_eq!(stats2.failed, 1, "{stats2:?}");
+        assert_eq!(stats2.per_vertex[1].retried, 0, "{stats2:?}");
         let snap2 = reg.snapshot();
+        assert_eq!(snap2.counter("degrade.rollbacks"), 1);
         assert_eq!(snap2.counter("degrade.failed_lanes"), 1);
         // The healthy lanes keep their full throughput.
         assert!(stats2.per_vertex[0].newton_iters > 0);
         assert!(stats2.per_vertex[2].newton_iters > 0);
-    }
-
-    #[test]
-    fn batched_site_faults_recover_like_step_guarded() {
-        use landau_vgpu::fault::{SITE_BATCHED_JACOBIAN, SITE_BATCHED_SOLVE};
-        let space = tiny_space();
-        let mut plain = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
-        plain.advance(0.4, 2, 0.0);
-
-        // One-shot corruption at each fused-launch-only site. The guard
-        // ladder must classify both as non-finite failures, restore the
-        // attempt transactionally and recover through the same damped
-        // retry `step_guarded` uses — so the recovered trajectory is
-        // bitwise identical to the unfaulted fleet (λ = 1 contracts on
-        // this easy problem, and the restore wiped the corrupt attempt).
-        let mut b = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
-        b.stepper(1)
-            .ti
-            .op
-            .device
-            .arm_faults(FaultPlan::seeded(3).with(SITE_BATCHED_SOLVE, 0, FaultKind::Nan));
-        b.stepper(2)
-            .ti
-            .op
-            .device
-            .arm_faults(FaultPlan::seeded(5).with(SITE_BATCHED_JACOBIAN, 0, FaultKind::Nan));
-        let stats = b.advance(0.4, 2, 0.0);
-        assert_eq!(stats.failed, 0, "{stats:?}");
-        assert!(stats.per_vertex[1].retried >= 1, "{stats:?}");
-        assert!(stats.per_vertex[2].retried >= 1, "{stats:?}");
-        assert_eq!(stats.per_vertex[0].retried, 0, "{stats:?}");
-        for (v, (a, c)) in plain.states.iter().zip(&b.states).enumerate() {
-            for (i, (x, y)) in a.iter().zip(c).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "vertex {v} dof {i}: {x:e} vs {y:e}"
-                );
-            }
-        }
-        // Single-shot faults leave the lanes on the fused rung (one
-        // retried step is below the demotion threshold).
-        assert_eq!(b.lane_mode(1), LaneMode::Fused);
-        assert_eq!(b.lane_mode(2), LaneMode::Fused);
     }
 
     #[test]

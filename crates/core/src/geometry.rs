@@ -105,7 +105,7 @@ impl Geometry {
 
     /// Mass-pattern entry → band slot of the reordered block: every
     /// Jacobian `M − γ L_α` on this mesh shares the pattern and the
-    /// ordering, solo and fused alike.
+    /// ordering.
     pub fn band_map(&self) -> &BandMap {
         &self.band_map
     }

@@ -31,7 +31,7 @@ use crate::ipdata::IpData;
 use crate::registry::{KernelDims, KernelEntry, KernelRegistry, PolicyFamily, VerifyInput};
 use crate::species::SpeciesList;
 use crate::tensor::{landau_tensor_2d, TENSOR2D_FLOPS};
-use crate::tensor_cache::{CachedStream, TensorTable, UNROLL};
+use crate::tensor_cache::{CachedStream, TensorTable};
 use landau_fem::FemSpace;
 use landau_par::prelude::*;
 use landau_sparse::csr::Csr;
@@ -245,20 +245,6 @@ fn run_cached_symbolic(input: &VerifyInput, vector_length: usize, ctx: &Symbolic
         inner_integral_kokkos_cached(&input.ip, &input.species, vector_length, &input.table, ctx);
 }
 
-fn run_batched_cached_symbolic(input: &VerifyInput, vector_length: usize, ctx: &SymbolicCtx) {
-    // Two active lanes sharing one packed state: the smallest launch that
-    // exercises the flattened (lane, element) league geometry.
-    let ips = [&input.ip, &input.ip];
-    let _ = inner_integral_batched_kokkos_cached(
-        &ips,
-        &[true, true],
-        &input.species,
-        vector_length,
-        &input.table,
-        ctx,
-    );
-}
-
 /// Self-register this module's Team-based kernels with the static
 /// verifier's registry. New Team kernels must be added here — the
 /// verify-kernels gate proves exactly what is registered.
@@ -274,12 +260,6 @@ pub fn register(reg: &mut KernelRegistry) {
         family: PolicyFamily::standard(),
         budget: cached_scratch_budget,
         run_symbolic: run_cached_symbolic,
-    });
-    reg.add(KernelEntry {
-        name: "inner_integral_kokkos_batched_cached",
-        family: PolicyFamily::standard(),
-        budget: cached_scratch_budget,
-        run_symbolic: run_batched_cached_symbolic,
     });
 }
 
@@ -431,260 +411,35 @@ pub fn inner_integral_cpu_cached(
 /// element as in [`inner_integral_cuda_model`], but the x lanes stride over
 /// field-element *tiles* instead of points, each lane streaming whole tiles
 /// from the table with register partials combined by the warp-shuffle
-/// butterfly. The one-lane launch of
-/// [`inner_integral_batched_cuda_cached`].
+/// butterfly.
 pub fn inner_integral_cuda_model_cached(
     ip: &IpData,
     species: &SpeciesList,
     dim_x: usize,
     table: &TensorTable,
 ) -> (IpCoeffs, Tally) {
-    one_lane(inner_integral_batched_cuda_cached(
-        &[ip],
-        &[true],
-        species,
-        dim_x,
-        table,
-    ))
-}
-
-/// Cached inner integral in the Kokkos model: league member per element,
-/// team over its integration points, and the tile sweep as a generic-object
-/// `parallel_reduce` over a `ThreadVectorRange(0, N_e)`. Generic over the
-/// [`TeamFactory`] so the checked members can run it too. Unlike the
-/// uncached kernel no coordinate staging is needed — the table already
-/// encodes the test-point geometry. The one-lane launch of
-/// [`inner_integral_batched_kokkos_cached`].
-pub fn inner_integral_kokkos_cached<F: TeamFactory>(
-    ip: &IpData,
-    species: &SpeciesList,
-    vector_length: usize,
-    table: &TensorTable,
-    factory: &F,
-) -> (IpCoeffs, Tally) {
-    one_lane(inner_integral_batched_kokkos_cached(
-        &[ip],
-        &[true],
-        species,
-        vector_length,
-        table,
-        factory,
-    ))
-}
-
-/// The only lane's result of a one-lane batched launch.
-fn one_lane((mut coeffs, tallies): (Vec<IpCoeffs>, Vec<Tally>)) -> (IpCoeffs, Tally) {
-    (coeffs.swap_remove(0), tallies[0])
-}
-
-/// One flattened block of a batched launch: `(lane, element)` plus the
-/// lane's per-element output slices. The grid of a fused launch is the
-/// concatenation of every *active* lane's element range — exactly the
-/// sequel paper's batched geometry, where blocks index (vertex, element)
-/// pairs instead of one vertex owning a whole launch.
-type BatchBlock<'a> = (usize, usize, &'a mut [[f64; 2]], &'a mut [[f64; 3]]);
-
-/// Flatten the active lanes of a batch into per-(lane, element) blocks.
-/// Inactive lanes contribute no blocks, so their (zeroed) coefficients and
-/// tallies are never touched — retirement without desynchronization.
-fn batch_blocks<'a>(
-    ips: &[&IpData],
-    active: &[bool],
-    out: &'a mut [IpCoeffs],
-) -> Vec<BatchBlock<'a>> {
-    let mut blocks = Vec::new();
-    for (l, o) in out.iter_mut().enumerate() {
-        if !active[l] {
-            continue;
-        }
-        let nq = ips[l].nq;
-        for (e, (gke, gde)) in o.gk.chunks_mut(nq).zip(o.gd.chunks_mut(nq)).enumerate() {
-            blocks.push((l, e, gke, gde));
-        }
-    }
-    blocks
-}
-
-/// Lanes per cache block of the fused CPU sweep: wide enough that each
-/// broadcast table tile amortizes over many lanes (and the lane loop
-/// autovectorizes on a unit stride), narrow enough that the block's staged
-/// species sums (`3 · n · LANE_BLOCK` doubles) stay cache-resident.
-const LANE_BLOCK: usize = 64;
-
-/// Per-lane tallies of a batched device-model launch: each active lane's
-/// block charges plus the table's per-pair-staged stream tally — exactly
-/// what the lane's standalone launch reports.
-fn batch_tallies(
-    active: &[bool],
-    ns: usize,
-    table: &TensorTable,
-    blocks: Vec<(usize, Tally)>,
-) -> Vec<Tally> {
-    let mut tallies = vec![Tally::new(); active.len()];
-    for (l, t) in blocks {
-        tallies[l] = tallies[l] + t;
-    }
-    for (t, _) in tallies.iter_mut().zip(active).filter(|(_, &a)| a) {
-        *t = *t + table.stream_tally(ns, false);
-    }
-    tallies
-}
-
-/// Batched cached inner integral, plain CPU style: *one* fused sweep over
-/// the shared [`TensorTable`] with lanes in the innermost (unit-stride)
-/// dimension, processed in `LANE_BLOCK`-wide cache blocks. Each tile is
-/// read once per block and broadcast across lanes; every lane's species
-/// sums come from the same [`CachedStream::stage`] call the solo kernel
-/// makes, transposed to lane-minor.
-///
-/// Per lane the arithmetic replays [`inner_integral_cpu_cached`] exactly:
-/// tiles in ascending `je`, the `j % UNROLL` partial-sum slots of
-/// [`CachedStream::fold`], and the fixed `(p0+p1)+(p2+p3)` fold per tile —
-/// so each lane's coefficients are bitwise equal to a standalone per-lane
-/// call, and each active lane is charged the standalone launch's
-/// [`TensorTable::stream_tally`] (the modeled device still reads its own
-/// tiles — block-level reuse is a host-simulation artifact).
-pub fn inner_integral_batched_cpu_cached(
-    ips: &[&IpData],
-    active: &[bool],
-    species: &SpeciesList,
-    table: &TensorTable,
-) -> (Vec<IpCoeffs>, Vec<Tally>) {
     let _sp = landau_obs::span(landau_obs::names::INNER_INTEGRAL);
-    assert_eq!(ips.len(), active.len());
-    debug_assert!(
-        ips.iter().all(|ip| table.matches(ip)),
-        "table geometry must match every lane's ipdata"
-    );
+    debug_assert!(table.matches(ip), "table geometry must match the ipdata");
     let fk = species.k_field_factors();
     let fd = species.d_field_factors();
-    let mut out: Vec<IpCoeffs> = ips.iter().map(|ip| IpCoeffs::zeros(ip.n)).collect();
-    let n = table.n();
-    let nq = table.nq();
-    let ne = table.n_elements();
-    // Active lanes with their outputs; inactive lanes stay zeroed with
-    // empty tallies, exactly as if they contributed no blocks.
-    let mut act: Vec<(usize, &mut IpCoeffs)> = out
-        .iter_mut()
+    let stream = CachedStream {
+        table,
+        ip,
+        fk: &fk,
+        fd: &fd,
+    };
+    let nq = ip.nq;
+    let ne = ip.n / nq;
+    let mut out = IpCoeffs::zeros(ip.n);
+    let tally: Tally = out
+        .gk
+        .par_chunks_mut(nq)
+        .zip(out.gd.par_chunks_mut(nq))
         .enumerate()
-        .filter(|(l, _)| active[*l])
-        .collect();
-    act.par_chunks_mut(LANE_BLOCK).for_each(|chunk| {
-        let lb = chunk.len();
-        // Lane-minor SoA of the staged sums: `sums[(c·n + j)·lb + q]` is
-        // lane `q`'s component `c` (`tkr | tkz | td`) at field point `j`.
-        let mut sums = vec![0.0f64; 3 * n * lb];
-        let mut lane_sums = vec![0.0f64; 3 * n];
-        for (q, (l, _)) in chunk.iter().enumerate() {
-            let stream = CachedStream {
-                table,
-                ip: ips[*l],
-                fk: &fk,
-                fd: &fd,
-            };
-            stream.stage(0..n, &mut lane_sums);
-            for (cj, &v) in lane_sums.iter().enumerate() {
-                sums[cj * lb + q] = v;
-            }
-        }
-        let (tkr, rest) = sums.split_at(n * lb);
-        let (tkz, td) = rest.split_at(n * lb);
-        let mut tile_buf = table.tile_buf();
-        // Partial-sum rows `p[(slot·5 + component)·lb + q]` replicate
-        // the per-lane UNROLL fold: slot `j % UNROLL` within a tile.
-        let mut p = vec![0.0f64; 5 * UNROLL * lb];
-        let mut acc = vec![0.0f64; 5 * lb];
-        for i in 0..n {
-            acc.fill(0.0);
-            for je in 0..ne {
-                let streams = table.tile(i, je, &mut tile_buf);
-                p.fill(0.0);
-                for jj in 0..nq {
-                    let slot = jj % UNROLL;
-                    let j0 = (je * nq + jj) * lb;
-                    let k00 = streams[jj];
-                    let k10 = streams[nq + jj];
-                    let d0 = streams[2 * nq + jj];
-                    let d1 = streams[3 * nq + jj];
-                    let d2 = streams[4 * nq + jj];
-                    let tkr_j = &tkr[j0..j0 + lb];
-                    let tkz_j = &tkz[j0..j0 + lb];
-                    let td_j = &td[j0..j0 + lb];
-                    let row = &mut p[slot * 5 * lb..(slot + 1) * 5 * lb];
-                    let (p0, rest) = row.split_at_mut(lb);
-                    let (p1, rest) = rest.split_at_mut(lb);
-                    let (p2, rest) = rest.split_at_mut(lb);
-                    let (p3, p4) = rest.split_at_mut(lb);
-                    for q in 0..lb {
-                        p0[q] += k00 * tkr_j[q] + d1 * tkz_j[q];
-                        p1[q] += k10 * tkr_j[q] + d2 * tkz_j[q];
-                        p2[q] += d0 * td_j[q];
-                        p3[q] += d1 * td_j[q];
-                        p4[q] += d2 * td_j[q];
-                    }
-                }
-                // Fold the four partials per (component, lane) in the
-                // fixed (p0+p1)+(p2+p3) order of the per-lane kernel.
-                for c in 0..5 {
-                    let a = &mut acc[c * lb..(c + 1) * lb];
-                    for (q, aq) in a.iter_mut().enumerate() {
-                        let s01 = p[c * lb + q] + p[(5 + c) * lb + q];
-                        let s23 = p[(2 * 5 + c) * lb + q] + p[(3 * 5 + c) * lb + q];
-                        *aq += s01 + s23;
-                    }
-                }
-            }
-            for (q, (_, o)) in chunk.iter_mut().enumerate() {
-                o.gk[i] = [acc[q], acc[lb + q]];
-                o.gd[i] = [acc[2 * lb + q], acc[3 * lb + q], acc[4 * lb + q]];
-            }
-        }
-    });
-    let lane = table.stream_tally(species.len(), true);
-    let tallies = active
-        .iter()
-        .map(|&a| if a { lane } else { Tally::new() })
-        .collect();
-    (out, tallies)
-}
-
-/// Batched cached inner integral in the CUDA programming model: one grid
-/// whose blocks index (lane, element) pairs; within a block the x lanes
-/// stride its lane's field-element tiles, register partials joined by the
-/// shuffle butterfly. [`inner_integral_cuda_model_cached`] is this launch
-/// with one lane.
-pub fn inner_integral_batched_cuda_cached(
-    ips: &[&IpData],
-    active: &[bool],
-    species: &SpeciesList,
-    dim_x: usize,
-    table: &TensorTable,
-) -> (Vec<IpCoeffs>, Vec<Tally>) {
-    let _sp = landau_obs::span(landau_obs::names::INNER_INTEGRAL);
-    assert_eq!(ips.len(), active.len());
-    debug_assert!(
-        ips.iter().all(|ip| table.matches(ip)),
-        "table geometry must match every lane's ipdata"
-    );
-    let fk = species.k_field_factors();
-    let fd = species.d_field_factors();
-    let mut out: Vec<IpCoeffs> = ips.iter().map(|ip| IpCoeffs::zeros(ip.n)).collect();
-    let blocks = batch_blocks(ips, active, &mut out);
-    let pairs: Vec<(usize, Tally)> = blocks
-        .into_par_iter()
-        .map(|(l, e, gke, gde)| {
-            let ip = ips[l];
-            let stream = CachedStream {
-                table,
-                ip,
-                fk: &fk,
-                fd: &fd,
-            };
-            let nq = ip.nq;
-            let ne = ip.n / nq;
+        .map(|(e, (gke, gde))| {
             let mut t = Tally::new();
-            // Each block still prefetches its lane's packed field stream
-            // once for the species staging.
+            // Each block prefetches the packed field stream once for the
+            // species staging.
             t.dram_read += ip.stream_bytes();
             t.shared_bytes += ip.stream_bytes();
             let (mut sums, mut tile_buf) = (vec![0.0f64; 3 * ip.n], table.tile_buf());
@@ -696,61 +451,53 @@ pub fn inner_integral_batched_cuda_cached(
                 gke[iq] = [acc[0], acc[1]];
                 gde[iq] = [acc[2], acc[3], acc[4]];
             }
-            (l, t)
+            t
         })
-        .collect();
-    (out, batch_tallies(active, species.len(), table, pairs))
+        .reduce(Tally::new, |a, b| a + b);
+    (out, tally + table.stream_tally(species.len(), false))
 }
 
-/// Batched cached inner integral in the Kokkos model: *one* league whose
-/// members are the flattened (lane, element) blocks of every active lane,
-/// team over integration points, tile sweep as a `parallel_reduce` over
-/// `ThreadVectorRange(0, N_e)`. The reduction tree depends only on the
-/// vector length and trip count — never on the league rank — so each
-/// lane's output is bitwise equal to its standalone per-lane launch.
-/// Generic over the [`TeamFactory`] so the checked/symbolic members can
-/// prove the batched geometry too.
-pub fn inner_integral_batched_kokkos_cached<F: TeamFactory>(
-    ips: &[&IpData],
-    active: &[bool],
+/// Cached inner integral in the Kokkos model: league member per element,
+/// team over its integration points, and the tile sweep as a generic-object
+/// `parallel_reduce` over a `ThreadVectorRange(0, N_e)`. Generic over the
+/// [`TeamFactory`] so the checked members can run it too. Unlike the
+/// uncached kernel no coordinate staging is needed — the table already
+/// encodes the test-point geometry.
+pub fn inner_integral_kokkos_cached<F: TeamFactory>(
+    ip: &IpData,
     species: &SpeciesList,
     vector_length: usize,
     table: &TensorTable,
     factory: &F,
-) -> (Vec<IpCoeffs>, Vec<Tally>) {
+) -> (IpCoeffs, Tally) {
     let _sp = landau_obs::span(landau_obs::names::INNER_INTEGRAL);
-    assert_eq!(ips.len(), active.len());
-    debug_assert!(
-        ips.iter().all(|ip| table.matches(ip)),
-        "table geometry must match every lane's ipdata"
-    );
+    debug_assert!(table.matches(ip), "table geometry must match the ipdata");
     let fk = species.k_field_factors();
     let fd = species.d_field_factors();
-    let mut out: Vec<IpCoeffs> = ips.iter().map(|ip| IpCoeffs::zeros(ip.n)).collect();
-    let blocks = batch_blocks(ips, active, &mut out);
-    let league_size = blocks.len();
-    let pairs: Vec<(usize, Tally)> = blocks
-        .into_par_iter()
+    let stream = CachedStream {
+        table,
+        ip,
+        fk: &fk,
+        fd: &fd,
+    };
+    let nq = ip.nq;
+    let ne = ip.n / nq;
+    let policy = TeamPolicy {
+        league_size: ne,
+        team_size: nq,
+        vector_length,
+    };
+    let mut out = IpCoeffs::zeros(ip.n);
+    let tally: Tally = out
+        .gk
+        .par_chunks_mut(nq)
+        .zip(out.gd.par_chunks_mut(nq))
         .enumerate()
-        .map(|(rank, (l, e, gke, gde))| {
-            let ip = ips[l];
-            let stream = CachedStream {
-                table,
-                ip,
-                fk: &fk,
-                fd: &fd,
-            };
-            let nq = ip.nq;
-            let ne = ip.n / nq;
-            let policy = TeamPolicy {
-                league_size,
-                team_size: nq,
-                vector_length,
-            };
+        .map(|(e, (gke, gde))| {
             let mut t = Tally::new();
             t.dram_read += ip.stream_bytes();
             let (mut sums, mut tile_buf) = (vec![0.0f64; 3 * ip.n], table.tile_buf());
-            let mut member = factory.member(rank, policy, &mut t);
+            let mut member = factory.member(e, policy, &mut t);
             for iq in member.team_range() {
                 let gi = e * nq + iq;
                 let acc: [f64; 5] = member.vector_reduce(ne, |je, a: &mut [f64; 5]| {
@@ -760,10 +507,10 @@ pub fn inner_integral_batched_kokkos_cached<F: TeamFactory>(
                 gde[iq] = [acc[2], acc[3], acc[4]];
             }
             drop(member);
-            (l, t)
+            t
         })
-        .collect();
-    (out, batch_tallies(active, species.len(), table, pairs))
+        .reduce(Tally::new, |a, b| a + b);
+    (out, tally + table.stream_tally(species.len(), false))
 }
 
 /// Transform & assemble (lines 13–23) without the species factors: the
@@ -1177,72 +924,6 @@ mod tests {
         let (reference, _) = inner_integral_cpu(&ip, &sl);
         let (cuda, _) = inner_integral_cuda_model(&ip, &sl, 16);
         assert!(b.max_rel_diff(&reference) < 1e-13 && b.max_rel_diff(&cuda) < 1e-13);
-    }
-
-    #[test]
-    fn batched_cached_kernels_match_per_lane_bitwise() {
-        let (space, sl, ip) = setup();
-        let table = TensorTable::build(&ip.points, usize::MAX);
-        // A second lane with a different packed state so the lanes are
-        // distinguishable and cross-lane bleed would be caught.
-        let nd = space.n_dofs;
-        let mut state = vec![0.0; 2 * nd];
-        for (s, sp) in sl.list.iter().enumerate() {
-            let v = space.interpolate(|r, z| sp.maxwellian(r, z, 0.0) * 1.1 + 0.02);
-            state[s * nd..(s + 1) * nd].copy_from_slice(&v);
-        }
-        let mut ip2 = IpData::new(&space, &sl);
-        ip2.pack(&space, &state);
-        let ips = [&ip, &ip2];
-        let active = [true, true];
-
-        let (b_cpu, t_cpu) = inner_integral_batched_cpu_cached(&ips, &active, &sl, &table);
-        let (b_cuda, t_cuda) = inner_integral_batched_cuda_cached(&ips, &active, &sl, 16, &table);
-        let (b_kk, _) =
-            inner_integral_batched_kokkos_cached(&ips, &active, &sl, 8, &table, &PlainFactory);
-        for (l, ipl) in ips.iter().enumerate() {
-            let (r_cpu, rt_cpu) = inner_integral_cpu_cached(ipl, &sl, &table);
-            let (r_cuda, rt_cuda) = inner_integral_cuda_model_cached(ipl, &sl, 16, &table);
-            let (r_kk, _) = inner_integral_kokkos_cached(ipl, &sl, 8, &table, &PlainFactory);
-            for (a, b) in [
-                (&b_cpu[l], &r_cpu),
-                (&b_cuda[l], &r_cuda),
-                (&b_kk[l], &r_kk),
-            ] {
-                for (x, y) in a.gk.iter().flatten().zip(b.gk.iter().flatten()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-                for (x, y) in a.gd.iter().flatten().zip(b.gd.iter().flatten()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            // Per-lane tallies match the standalone launches exactly
-            // (u64 counters, order-independent sums).
-            assert_eq!(t_cpu[l], rt_cpu);
-            assert_eq!(t_cuda[l], rt_cuda);
-        }
-    }
-
-    #[test]
-    fn batched_kernel_skips_inactive_lanes() {
-        let (_space, sl, ip) = setup();
-        let table = TensorTable::build(&ip.points, usize::MAX);
-        let ips = [&ip, &ip];
-        let (out, tallies) = inner_integral_batched_cpu_cached(&ips, &[true, false], &sl, &table);
-        assert!(out[1].gk.iter().flatten().all(|&v| v == 0.0));
-        assert!(out[1].gd.iter().flatten().all(|&v| v == 0.0));
-        assert_eq!(tallies[1], Tally::new());
-        // The active lane still computes the full result.
-        let (reference, t_ref) = inner_integral_cpu_cached(&ip, &sl, &table);
-        for (x, y) in out[0]
-            .gk
-            .iter()
-            .flatten()
-            .zip(reference.gk.iter().flatten())
-        {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(tallies[0], t_ref);
     }
 
     #[test]

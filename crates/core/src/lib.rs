@@ -27,20 +27,19 @@
 //! * [`solver`] — implicit time integration (backward Euler / θ-method)
 //!   with the paper's quasi-Newton iteration and banded-LU direct solves,
 //!   transactional (`try_step`) with a typed failure taxonomy; its
-//!   `NewtonLane` is the one copy of the iteration's guard ladder, driven
-//!   by the solo step and by every vertex of the fused batch;
+//!   `NewtonLane` is the one copy of the iteration's guard ladder;
 //! * [`recover`] — the adaptive recovery policy over the transactional
 //!   step: damped retries, Δt halving with a bounded budget, and Δt
 //!   re-growth after the stiff phase passes;
 //! * [`batch`] — batched multi-vertex collision advance (the conclusion's
-//!   proposed batching over spatial points) as fused lockstep launches;
+//!   proposed batching over spatial points) as one pool sweep over the
+//!   vertices' own steppers;
 //! * [`ckpt`] — durable checkpoint/restart: checksummed frames, the
 //!   generational store and the policy hook the drivers hold;
 //! * [`invariants`] — the conservation/entropy monitor and its watchdog;
 //! * [`registry`] — the kernel registry the static verifier proves.
 
 pub mod batch;
-pub(crate) mod batch_fused;
 pub mod ckpt;
 pub mod geometry;
 pub mod invariants;
@@ -61,12 +60,9 @@ pub use landau_vgpu::fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault};
 /// (re-exported so downstream crates can arm plans without a direct
 /// `landau-vgpu` dependency).
 pub mod fault_sites {
-    pub use landau_vgpu::fault::{
-        SITE_BATCHED_FACTOR, SITE_BATCHED_JACOBIAN, SITE_BATCHED_SOLVE, SITE_LANDAU_JACOBIAN,
-        SITE_LU_FACTOR,
-    };
+    pub use landau_vgpu::fault::{SITE_LANDAU_JACOBIAN, SITE_LU_FACTOR};
 }
-pub use batch::{BatchStats, BatchedAdvance, LaneMode, VertexStats};
+pub use batch::{BatchStats, BatchedAdvance, VertexStats};
 pub use ckpt::{
     CheckpointPolicy, CheckpointStore, CkptError, DirStorage, FaultyStorage, MemStorage, Storage,
     StorageFault, StorageFaultKind,

@@ -62,8 +62,8 @@ pub struct AssembledOperator {
 /// `L_α = k_α A_K + d_α A_D + c_α D_z` with `k_α = q_α²/m_α`,
 /// `d_α = −q_α²/m_α²`, `c_α = −(q_α/m_α)E`, over the *same* assembled
 /// `A_K`, `A_D` and the geometry's `D_z`. Every consumer — the solver
-/// refill, the residual, the fused batch and [`Self::materialise`] — reads
-/// an entry through [`Self::entry`], so all of them see the same bits.
+/// refill, the residual and [`Self::materialise`] — reads an entry
+/// through [`Self::entry`], so all of them see the same bits.
 #[derive(Clone)]
 pub struct Jacobian {
     /// `[A_K, A_D]` on the geometry's pattern.
@@ -283,9 +283,8 @@ impl LandauOperator {
     /// element matrices from the inner-integral coefficients (packed in
     /// [`Self::ipdata`]), their scatter into `jac.pair` (zeroed first, so a
     /// reused `jac` is bitwise-safe), this operator's species factors at
-    /// `e_field`, and the launch accounting. Split out so the fused batch
-    /// orchestrator can run the per-lane tail after *one* batched
-    /// inner-integral launch has produced every lane's `coeffs`.
+    /// `e_field`, and the launch accounting. Public so the tail can be timed
+    /// on its own (the `kernels` bench gates it).
     ///
     /// `Backend::Cpu` records what it executes. The device models record
     /// Algorithm 1 as the paper's GPU runs it: `S` scaled element matrices
@@ -558,7 +557,7 @@ mod tests {
     }
 
     /// `assemble().mats` holds, bit for bit, the entries the solver refill
-    /// and the fused fill read (`Jacobian::entry`), and the residual's
+    /// reads (`Jacobian::entry`), and the residual's
     /// one-pass product equals `Csr::matvec_into` on those matrices.
     #[test]
     fn every_consumer_reads_the_materialised_bits() {

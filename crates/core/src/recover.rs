@@ -231,10 +231,8 @@ impl AdaptiveStepper {
     }
 
     /// Entry after a failed full-scale attempt: try the damped retry at
-    /// full `Δt` first, then fall through to subdivision. `pub(crate)` so
-    /// the fused batch orchestrator can route a lane that failed its
-    /// lockstep attempt into the identical recovery policy.
-    pub(crate) fn advance_recovering(
+    /// full `Δt` first, then fall through to subdivision.
+    fn advance_recovering(
         &mut self,
         state: &mut [f64],
         dt: f64,
@@ -344,7 +342,7 @@ impl AdaptiveStepper {
         Ok((total, rec))
     }
 
-    pub(crate) fn note_success(&mut self, iters: usize) {
+    fn note_success(&mut self, iters: usize) {
         if self.dt_scale >= 1.0 {
             return;
         }
@@ -357,14 +355,6 @@ impl AdaptiveStepper {
         } else {
             self.easy_streak = 0;
         }
-    }
-
-    /// Record `state` as the last-good checkpoint (the bookkeeping the
-    /// `advance` fast path performs after a successful step); the fused
-    /// batch orchestrator calls this when a lane's lockstep step lands.
-    pub(crate) fn commit_checkpoint(&mut self, state: &[f64]) {
-        self.checkpoint.clear();
-        self.checkpoint.extend_from_slice(state);
     }
 
     fn give_up(

@@ -167,7 +167,7 @@ impl std::error::Error for SolveError {}
 /// contracts far faster than this every iteration).
 const STALL_REDUCTION: f64 = 0.999;
 
-pub(crate) fn all_finite(v: &[f64]) -> bool {
+fn all_finite(v: &[f64]) -> bool {
     v.iter().all(|x| x.is_finite())
 }
 
@@ -247,16 +247,15 @@ pub struct TimeIntegrator {
     /// successful step (see [`crate::invariants::ConservationMonitor`]).
     pub monitor: Option<ConservationMonitor>,
     /// The block solver, refilled in place every Newton iteration. Made on
-    /// the first solo step: the lanes of a fused batch never take one.
+    /// the first step.
     solver: Option<BlockBandSolver>,
     scratch: NewtonScratch,
 }
 
-/// Work vectors of [`TimeIntegrator::residual`], owned by its caller (the
-/// integrator, or the fused workspace) so that an evaluation allocates
-/// nothing.
+/// Work vectors of [`TimeIntegrator::residual`], owned by the integrator
+/// so that an evaluation allocates nothing.
 #[derive(Default)]
-pub(crate) struct ResidualScratch {
+struct ResidualScratch {
     /// `L(f) f`, species-major.
     lf: Vec<f64>,
     /// `f − f^n` of one species.
@@ -337,11 +336,9 @@ impl TimeIntegrator {
 
     /// Residual `R = M(f − f^n) − Δt[θ(Lf + Ms) + (1−θ)rhs_old]`, where
     /// `rhs_old` is the explicit part (precomputed). Takes the Jacobian
-    /// by reference so the fused batch orchestrator can evaluate it over
-    /// its reusable lane workspaces, and its work vectors from the
-    /// caller's scratch.
+    /// by reference and its work vectors from the caller's scratch.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn residual(
+    fn residual(
         &self,
         jac: &Jacobian,
         f: &[f64],
@@ -593,29 +590,28 @@ impl TimeIntegrator {
 /// *decides* — the restore point, the convergence/divergence/stall ladder,
 /// the Newton budget, the monitor check and the rollback — apart from the
 /// linear algebra that advances it. [`TimeIntegrator::step`] drives one
-/// lane through its [`BlockBandSolver`]; the fused batch orchestrator
-/// drives one per vertex through the lane-minor batched band storage.
+/// lane through its [`BlockBandSolver`].
 ///
 /// Protocol: [`Self::begin`], then per iteration [`Self::enter`] →
 /// assemble → [`Self::residual_norm`] → [`Self::judge`] → factor/solve
 /// (with [`Self::fail`] for a zero pivot or a non-finite update) → update,
 /// and [`Self::finish`] once the lane is no longer [`Self::live`].
-pub(crate) struct NewtonLane {
+struct NewtonLane {
     /// Entry state `f^n`, the transactional restore point (empty when the
     /// entry state was non-finite: there is nothing sane to restore).
     fn_old: Vec<f64>,
     /// Explicit θ-method part `L(f^n) f^n + M s` (only for θ < 1).
     rhs_old: Option<Vec<f64>>,
     /// Residual buffer `R(f_k)`.
-    pub(crate) r: Vec<f64>,
+    r: Vec<f64>,
     dt: f64,
-    pub(crate) theta: f64,
+    theta: f64,
     r0: Option<f64>,
     prev_rnorm: f64,
     stall: usize,
     /// Loop entries consumed (the Newton budget).
     entries: usize,
-    pub(crate) stats: StepStats,
+    stats: StepStats,
     failure: Option<SolveError>,
     t_start: Instant,
 }
@@ -623,7 +619,7 @@ pub(crate) struct NewtonLane {
 impl NewtonLane {
     /// Open a step of `dt` from `state`: guard the entry state, snapshot
     /// `f^n`, and evaluate the explicit part when θ < 1.
-    pub(crate) fn begin(
+    fn begin(
         ti: &mut TimeIntegrator,
         state: &[f64],
         dt: f64,
@@ -671,7 +667,7 @@ impl NewtonLane {
     }
 
     /// Still iterating: neither converged nor failed.
-    pub(crate) fn live(&self) -> bool {
+    fn live(&self) -> bool {
         self.failure.is_none() && !self.stats.converged
     }
 
@@ -679,7 +675,7 @@ impl NewtonLane {
     /// including by this call, when the budget of `max_newton` entries is
     /// spent: the lane then fails as diverged if the residual never got
     /// under its starting norm, as stalled otherwise.
-    pub(crate) fn enter(&mut self, max_newton: usize) -> bool {
+    fn enter(&mut self, max_newton: usize) -> bool {
         if !self.live() {
             return false;
         }
@@ -699,7 +695,7 @@ impl NewtonLane {
     }
 
     /// Evaluate `R(f_k)` into [`Self::r`] and return its norm.
-    pub(crate) fn residual_norm(
+    fn residual_norm(
         &mut self,
         ti: &TimeIntegrator,
         jac: &Jacobian,
@@ -726,7 +722,7 @@ impl NewtonLane {
     /// non-finite, converged, diverged past `divergence_ratio · r0`,
     /// stalled for `stall_window` iterations. True if the iteration goes on
     /// to factor and solve; false retires the lane.
-    pub(crate) fn judge(&mut self, ti: &TimeIntegrator, rnorm: f64) -> bool {
+    fn judge(&mut self, ti: &TimeIntegrator, rnorm: f64) -> bool {
         self.stats.residual = rnorm;
         if !rnorm.is_finite() {
             self.fail(SolveError::NonFinite {
@@ -765,13 +761,13 @@ impl NewtonLane {
     }
 
     /// Retire the lane with `e`.
-    pub(crate) fn fail(&mut self, e: SolveError) {
+    fn fail(&mut self, e: SolveError) {
         self.failure = Some(e);
     }
 
     /// Close the step: a converged lane passes the invariant watchdog, a
     /// failed one is rolled back so that `state == f^n` bitwise.
-    pub(crate) fn finish(
+    fn finish(
         mut self,
         ti: &mut TimeIntegrator,
         state: &mut [f64],

@@ -1,4 +1,5 @@
-//! The fused batched advance against the per-vertex host loop it replaced
+//! The batched advance (one pool sweep over the vertices' steppers)
+//! against the plain per-vertex loop
 //! (`landau_testkit::oracle::host_loop_advance`): same state bits vertex by
 //! vertex, same Newton counts, same failure accounting.
 
@@ -43,8 +44,9 @@ fn fused_matches_host_loop_bitwise() {
     let sf = fused.advance(0.4, 2, 0.0);
     assert_eq!(sh.failed, 0, "{sh:?}");
     assert_eq!(sf.failed, 0, "{sf:?}");
-    // The fused pipeline is a reordering of identical arithmetic:
-    // every vertex's state must match the reference loop bit for bit.
+    // The pool sweep runs each vertex's own stepper, with nested sweeps
+    // inline over the same parts: every vertex's state must match the
+    // reference loop bit for bit.
     for (v, (a, b)) in host.states.iter().zip(&fused.states).enumerate() {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(
@@ -55,12 +57,39 @@ fn fused_matches_host_loop_bitwise() {
         }
     }
     assert_eq!(sh.newton_iters, sf.newton_iters);
-    // Launch accounting only exists on the fused path: 3 launches
-    // (kernel, factor, solve) per lockstep Newton round.
-    assert_eq!(sh.launches, 0);
-    assert!(sf.launches > 0, "{sf:?}");
-    assert!(sf.active_lane_sum >= sf.launches / 3);
-    assert!(sf.retired_per_newton > 0.0);
+
+    // Five lanes split unevenly over the pool (2 + 3 on two threads), one
+    // of them always singular so it walks the failure ladder; and a batch
+    // of one lane, where the sweep has a single part.
+    let singular = |b: &mut BatchedAdvance| {
+        b.stepper(3)
+            .ti
+            .op
+            .device
+            .arm_faults(FaultPlan::seeded(7).with_repeated(
+                SITE_LU_FACTOR,
+                0,
+                1_000_000,
+                FaultKind::SingularBlock,
+            ));
+    };
+    for (n, arm) in [(5, Some(singular)), (1, None)] {
+        let mut host = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, n);
+        let mut pool = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, n);
+        if let Some(arm) = arm {
+            arm(&mut host);
+            arm(&mut pool);
+        }
+        let sh = host_loop_advance(&mut host, 0.4, 2, 0.0);
+        let sp = pool.advance(0.4, 2, 0.0);
+        assert_eq!(sh.per_vertex, sp.per_vertex, "{n} lanes");
+        assert_eq!(sp.failed, usize::from(arm.is_some()), "{sp:?}");
+        for (v, (a, b)) in host.states.iter().zip(&pool.states).enumerate() {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{n} lanes, vertex {v} dof {i}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -68,7 +97,7 @@ fn seeded_factor_fault_is_counted_and_excluded_from_throughput() {
     let space = tiny_space();
     let mut b = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
     // Every LU factorization on vertex 1's device reports a singular
-    // block: the lockstep attempt fails, recovery's damped retries and
+    // block: the first attempt fails, recovery's damped retries and
     // Δt halvings all hit the same fault, and the vertex exhausts its
     // budget while the rest of the fleet advances.
     b.stepper(1)

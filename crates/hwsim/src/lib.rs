@@ -25,13 +25,11 @@
 pub mod des;
 pub mod machine;
 pub mod obs_bridge;
-pub mod occupancy;
 pub mod profile;
 pub mod roofline;
 
 pub use des::{simulate_node, NodeThroughput};
 pub use machine::{MachineConfig, MpsQuality};
 pub use obs_bridge::{kernel_stats_from_metrics, roofline_from_metrics};
-pub use occupancy::{fused_vs_host, occupancy_report, FusedGeometry, OccupancyReport};
 pub use profile::IterationProfile;
 pub use roofline::{roofline_report, RooflineReport};

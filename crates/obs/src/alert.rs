@@ -131,8 +131,8 @@ impl SloWatchdog {
         self.mode
     }
 
-    /// The default serve rule set: latency, queue, degradation,
-    /// checkpoint-corruption, journal-loss, and invariant-drift SLOs.
+    /// The default serve rule set: latency, queue, checkpoint-corruption,
+    /// journal-loss, and invariant-drift SLOs.
     /// Thresholds are generous — they catch a service on fire, not a
     /// slow day.
     pub fn serve_rules() -> Vec<SloRule> {
@@ -146,11 +146,6 @@ impl SloWatchdog {
                 name: "queue_wait_p99_ms",
                 signal: SloSignal::HistogramP99("serve.queue_wait_ms"),
                 threshold: 300_000.0,
-            },
-            SloRule {
-                name: "degrade_burn",
-                signal: SloSignal::CounterBurn("degrade.demotions"),
-                threshold: 64.0,
             },
             SloRule {
                 name: "ckpt_corruption",

@@ -103,12 +103,6 @@ pub mod names {
     pub const ADAPTIVE_ADVANCE: &str = "adaptive_advance";
     /// One batched multi-vertex advance (calling thread).
     pub const BATCH_ADVANCE: &str = "batched_advance";
-    /// One fused (all-lanes) batched Jacobian-kernel launch.
-    pub const BATCH_KERNEL: &str = "batched_kernel";
-    /// One fused batched banded-LU factorization over the lane SoA.
-    pub const BATCH_FACTOR: &str = "batched_factor";
-    /// One fused batched forward/backward triangular solve.
-    pub const BATCH_SOLVE: &str = "batched_solve";
     /// Quench-driver equilibration phase.
     pub const EQUILIBRATION: &str = "equilibration";
     /// Quench-driver thermal-quench phase.

@@ -248,8 +248,15 @@ impl Drop for Runtime {
     fn drop(&mut self) {
         self.exec.shutdown.store(true, Ordering::Release);
         self.exec.idle.notify_all();
+        // The last owner can be dropped on one of the workers: a job task
+        // holding the last server handle finishes there. That worker leaves
+        // its loop by itself once the task returns; joining it from itself
+        // fails with EDEADLK, which `join` raises as a panic.
+        let me = std::thread::current().id();
         for t in self.threads.drain(..) {
-            let _ = t.join();
+            if t.thread().id() != me {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -434,6 +441,29 @@ mod tests {
         assert_eq!(sum, (0..64).sum());
         gate.store(true, Ordering::Release);
         block_on(blocker);
+    }
+
+    #[test]
+    fn last_owner_dropped_on_a_worker_does_not_join_itself() {
+        // A task holds the last owner of the runtime, as a job task holds
+        // the last `QuenchServer` once every client handle is gone, so
+        // `Runtime::drop` runs on one of its own workers. It must stop the
+        // others without joining the thread it runs on.
+        let rt = Arc::new(Runtime::new(2));
+        let owner = Arc::clone(&rt);
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        rt.spawn(async move {
+            go_rx.recv().expect("test thread alive");
+            drop(owner);
+            let _ = done_tx.send(());
+        });
+        drop(rt);
+        go_tx.send(()).expect("task alive");
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+            "dropping the last runtime owner on a worker panicked or hung"
+        );
     }
 
     #[test]

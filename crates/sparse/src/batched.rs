@@ -32,7 +32,7 @@
 //! [`crate::band`] (outside it every lane stores `+0.0`; the first live
 //! negative or NaN pivot widens it to the whole band).
 
-use crate::band::{BandMap, BandMatrix, Envelope};
+use crate::band::{BandMatrix, Envelope};
 
 /// Lanes per cache tile of the lockstep sweeps. The factorization's
 /// sliding window — `(lbw+1)` band rows of `w · LANE_TILE` doubles — stays
@@ -61,13 +61,6 @@ impl BatchedBandStorage {
     /// number of tiles; padding lanes hold zeros and are never active.
     pub fn zeros(n: usize, lbw: usize, ubw: usize, n_mats: usize) -> Self {
         Self::zeros_in(n, lbw, ubw, n_mats, Envelope::full(n, lbw, ubw))
-    }
-
-    /// `n_mats` zero matrices on the pattern of `map`, to be filled lane
-    /// by lane through it ([`Self::fill_lane`]).
-    pub fn from_map(map: &BandMap, n_mats: usize) -> Self {
-        let bw = map.bandwidth();
-        Self::zeros_in(map.n(), bw, bw, n_mats, map.envelope().clone())
     }
 
     fn zeros_in(n: usize, lbw: usize, ubw: usize, n_mats: usize, env: Envelope) -> Self {
@@ -120,55 +113,9 @@ impl BatchedBandStorage {
         (m / LANE_TILE) * self.n_slots() * LANE_TILE + s * LANE_TILE + (m % LANE_TILE)
     }
 
-    /// Band slot of in-band entry `(i, j)` — shared by every lane.
-    ///
-    /// # Panics
-    /// Panics outside the band.
-    #[inline]
-    pub fn slot_of(&self, i: usize, j: usize) -> usize {
-        let d = j as isize - i as isize;
-        assert!(
-            d >= -(self.lbw as isize) && d <= self.ubw as isize,
-            "entry ({i},{j}) outside band (lbw={}, ubw={})",
-            self.lbw,
-            self.ubw
-        );
-        i * self.w() + (d + self.lbw as isize) as usize
-    }
-
-    /// Write band slot `s` of lane `m`. A write outside the envelope
-    /// widens it to the whole band, as [`BandMatrix::set`] does.
-    #[inline]
-    pub fn write_slot(&mut self, s: usize, m: usize, v: f64) {
-        let i = s / self.w();
-        if !self.env.contains(i, s % self.w() + i - self.lbw) {
-            self.widen_to_band();
-        }
-        let k = self.idx(s, m);
-        self.data[k] = v;
-    }
-
     #[cold]
     fn widen_to_band(&mut self) {
         self.env = Envelope::full(self.n, self.lbw, self.ubw);
-    }
-
-    /// Scatter one matrix into lane `m` through `map` (the batched-fill
-    /// hot path): pattern entry `o` gets `value(o)`. The lane must have
-    /// been zeroed ([`Self::reset_lanes`]) since its last factorization.
-    pub fn fill_lane(&mut self, m: usize, map: &BandMap, value: impl Fn(usize) -> f64) {
-        assert_eq!(
-            (self.n, self.lbw, self.ubw),
-            (map.n(), map.bandwidth(), map.bandwidth())
-        );
-        assert!(
-            self.env.covers(map.envelope()),
-            "band map scatters outside the batch envelope"
-        );
-        let lane = self.idx(0, m);
-        for (&slot, &o) in map.slots().iter().zip(map.origin()) {
-            self.data[lane + slot * LANE_TILE] = value(o);
-        }
     }
 
     /// Read entry `(i, j)` of lane `m` (0 outside the band).
@@ -189,26 +136,6 @@ impl BatchedBandStorage {
         self.factored = false;
     }
 
-    /// Zero the first `c` lanes of every band slot row and clear the
-    /// factored flag. For callers that compact their live lanes into the
-    /// low indices this replaces the allocation-wide `reset` memset with
-    /// traffic proportional to the live count. Lanes `c..` keep stale
-    /// data and must stay inactive in the next `factor`/`solve_into`.
-    pub fn reset_lanes(&mut self, c: usize) {
-        let c = c.min(self.n_mats);
-        let tile_len = self.n_slots() * LANE_TILE;
-        let full = c / LANE_TILE;
-        self.data[..full * tile_len].fill(0.0);
-        let rem = c % LANE_TILE;
-        if rem > 0 {
-            let tb = full * tile_len;
-            for s in 0..self.n_slots() {
-                self.data[tb + s * LANE_TILE..tb + s * LANE_TILE + rem].fill(0.0);
-            }
-        }
-        self.factored = false;
-    }
-
     /// Copy a [`BandMatrix`] into lane `m` (the lane is zeroed first). The
     /// batch envelope grows to cover the matrix's.
     pub fn pack_lane(&mut self, m: usize, b: &BandMatrix) {
@@ -220,9 +147,10 @@ impl BatchedBandStorage {
             let k = self.idx(s, m);
             self.data[k] = 0.0;
         }
+        let w = self.w();
         for i in 0..self.n {
             for j in i.saturating_sub(self.lbw)..=(i + self.ubw).min(self.n.saturating_sub(1)) {
-                let k = self.idx(self.slot_of(i, j), m);
+                let k = self.idx(i * w + j + self.lbw - i, m);
                 self.data[k] = b.get(i, j);
             }
         }
@@ -451,20 +379,6 @@ impl BatchedBandStorage {
         }
     }
 
-    /// Fault-injection support: make lane `m` exactly singular by zeroing
-    /// its first row, the batched analogue of
-    /// [`crate::band::BlockBandSolver::poison_block`].
-    pub fn poison(&mut self, m: usize) {
-        if self.n_mats == 0 || self.n == 0 {
-            return;
-        }
-        let m = m % self.n_mats;
-        for j in 0..=self.ubw.min(self.n - 1) {
-            let k = self.idx(self.slot_of(0, j), m);
-            self.data[k] = 0.0;
-        }
-    }
-
     /// Factorization FLOPs for `n_active` lanes (hardware model).
     pub fn factor_flops(&self, n_active: usize) -> u64 {
         n_active as u64 * BandMatrix::factor_flops(self.n, self.lbw)
@@ -638,8 +552,12 @@ mod tests {
         let mats: Vec<BandMatrix> = (0..nm)
             .map(|m| random_banded(n, bw, 7 + m as u64))
             .collect();
-        let mut soa = BatchedBandStorage::from_band_matrices(&mats);
-        soa.poison(2);
+        // Lane 2 is exactly singular: a zero first row.
+        let mut singular = mats.clone();
+        for j in 0..=bw {
+            singular[2].set(0, j, 0.0);
+        }
+        let mut soa = BatchedBandStorage::from_band_matrices(&singular);
         let active = vec![true; nm];
         let failed = soa.factor(&active);
         assert_eq!(failed[2], Some(0), "poisoned lane must fail at row 0");
@@ -697,14 +615,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn slot_map_addresses_match_get() {
-        let soa = BatchedBandStorage::zeros(7, 2, 1, 3);
-        let mut soa2 = soa.clone();
-        soa2.write_slot(soa.slot_of(4, 3), 2, 42.0);
-        assert_eq!(soa2.get(2, 4, 3), 42.0);
-        assert_eq!(soa2.get(2, 4, 2), 0.0);
     }
 }

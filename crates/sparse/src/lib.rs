@@ -16,7 +16,9 @@
 //!   paper's custom direct solver.
 //! * [`batched`] — the sequel paper's batched banded LU: many equally-sized
 //!   bands in a lane-minor SoA layout, factored and solved in lockstep
-//!   with a per-lane active mask, bitwise-equal to [`band`] per lane.
+//!   with a per-lane active mask, bitwise-equal to [`band`] per lane. No
+//!   batch path uses it (a batch steps every vertex through its own
+//!   [`band`] solver); the repository benchmark times it.
 //! * [`vecops`] — the handful of BLAS-1 operations the time integrator uses.
 //! * [`atomic`] — an `AtomicF64` add used by the device-style assembly.
 //! * [`checked`] — an ownership map that validates the element-coloring

@@ -8,7 +8,7 @@
 //! * [`SevenStreamTable`] — the cached inner integral that stored `U^K`'s
 //!   second column and staged the species sums per `(test point, tile)`.
 //! * [`host_loop_advance`] — the batch advanced one vertex at a time, each
-//!   through its own solo stepper.
+//!   through its own solo stepper, with no pool.
 //! * [`species_tail`] — the Jacobian tail with one element matrix and one
 //!   scatter per species ([`landau_element_matrices`]).
 
@@ -626,10 +626,14 @@ impl SevenStreamTable {
     }
 }
 
-/// `BatchedAdvance::advance` as it ran before the fused lockstep launches:
-/// every vertex takes its `steps` macro steps alone through its own
-/// `AdaptiveStepper`, nothing batched. The fused advance must leave every
-/// vertex on the same bits with the same per-vertex counts. Launch
+/// `BatchedAdvance::advance` as a plain loop: every vertex takes its
+/// `steps` macro steps alone through its own `AdaptiveStepper`, one vertex
+/// after another, nothing shared between threads. A terminal failure
+/// takes the batch's one rollback (the stepper's last good state, `Δt`
+/// pinned at the policy floor); a second one retires the vertex. The pool
+/// sweep must leave every vertex on the same bits with the same
+/// per-vertex counts. The ladder lives in this call only, so compare on
+/// batches that have not rolled back or retired a vertex before. Launch
 /// counters stay zero; neither metrics nor checkpoints are touched.
 pub fn host_loop_advance(
     batch: &mut BatchedAdvance,
@@ -647,21 +651,32 @@ pub fn host_loop_advance(
             dt_fraction_min: 1.0,
             failed: false,
         };
+        let mut rolled_back = false;
+        let st = batch.stepper_mut(v);
         for _ in 0..steps {
+            let mut res = st.advance(&mut state, dt, e_field, None);
             // A terminal failure still spent attempts and Δt subdivisions.
-            let (iters, retried, fraction) =
-                match batch.stepper_mut(v).advance(&mut state, dt, e_field, None) {
-                    Ok((stats, rec)) => (stats.newton_iters, rec.retried, rec.dt_fraction_min),
-                    Err(f) => {
-                        vs.failed = true;
-                        (0, f.attempts, f.dt_fraction)
-                    }
-                };
-            vs.newton_iters += iters;
-            vs.retried += retried;
-            vs.dt_fraction_min = vs.dt_fraction_min.min(fraction);
-            if vs.failed {
-                break;
+            while let Err(f) = res {
+                vs.retried += f.attempts;
+                vs.dt_fraction_min = vs.dt_fraction_min.min(f.dt_fraction);
+                if rolled_back {
+                    vs.failed = true;
+                    break;
+                }
+                rolled_back = true;
+                if st.checkpoint().len() == state.len() {
+                    state.copy_from_slice(st.checkpoint());
+                }
+                st.dt_scale = st.cfg.min_dt_fraction;
+                res = st.advance(&mut state, dt, e_field, None);
+            }
+            match res {
+                Ok((stats, rec)) => {
+                    vs.newton_iters += stats.newton_iters;
+                    vs.retried += rec.retried;
+                    vs.dt_fraction_min = vs.dt_fraction_min.min(rec.dt_fraction_min);
+                }
+                Err(_) => break,
             }
         }
         batch.states[v] = state;

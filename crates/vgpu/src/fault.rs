@@ -31,18 +31,6 @@ pub const SITE_LANDAU_JACOBIAN: &str = "landau_jacobian";
 /// attempt; the injected "lane" selects the species block to poison).
 pub const SITE_LU_FACTOR: &str = "lu_factor";
 
-/// Site name for the fused batched Jacobian stage (one tally per vertex per
-/// fused launch; the lane selects the `IpCoeffs` entry to corrupt).
-pub const SITE_BATCHED_JACOBIAN: &str = "batched_jacobian";
-
-/// Site name for the fused batched banded-LU factorization (one tally per
-/// vertex per fused factor; the lane selects the species block to poison).
-pub const SITE_BATCHED_FACTOR: &str = "batched_factor";
-
-/// Site name for the fused batched triangular solve (one tally per vertex
-/// per fused solve; the lane selects the update entry to corrupt).
-pub const SITE_BATCHED_SOLVE: &str = "batched_solve";
-
 /// What an injected fault does to the target buffer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
