@@ -9,8 +9,7 @@
 //!      trusted (`batch_bitwise_identical`, gated exactly).
 //!   2. *Scaling* — productive Newton iterations per second of the pool
 //!      sweep at 1/16/64/256/1024 vertices, gated against the committed
-//!      baseline (`newton_per_sec_fused_*`, named for the fused lockstep
-//!      orchestrator the sweep replaced, may not fall under 0.6× of it),
+//!      baseline (`newton_per_sec_pool_*` may not fall under 0.6× of it),
 //!      plus the reference host loop at 256 and 1024. The host loop is the
 //!      bitwise oracle, not a competitor: `speedup_256`/`speedup_1024` are
 //!      reported for the record only. Both sides run on one pool thread,
@@ -116,7 +115,7 @@ fn main() {
     for &nv in &COUNTS {
         let (nps, st) = run(&space, nv, |b| b.advance(DT, steps, 0.0));
         println!("{nv:>9} {nps:>14.1} {:>10.2} (pool sweep)", st.seconds);
-        json.push((format!("newton_per_sec_fused_{nv}"), nps));
+        json.push((format!("newton_per_sec_pool_{nv}"), nps));
         pool_at.insert(nv, nps);
     }
     for &nv in &[256usize, 1024] {
@@ -131,7 +130,7 @@ fn main() {
     // ratio so regressions in large-batch throughput show up even if
     // absolute rates drift.
     json.push((
-        "fused_scaling_256_over_1".into(),
+        "pool_scaling_256_over_1".into(),
         pool_at[&256] / pool_at[&1],
     ));
 

@@ -139,12 +139,12 @@ fn rule_for(name: &str) -> Rule {
         // the closed form's AGM never converged early; 1.4 is where the
         // table has lost half of what it buys.
         "speedup" => Rule::Floor(1.4),
-        // Batch throughput (the pool sweep; the names predate it) holds
-        // against its own committed baseline.
+        // Batch throughput (the pool sweep) holds against its own
+        // committed baseline.
         // Its ratio to the host loop (`speedup_256/1024`) falls through to
         // info: the host loop is the bitwise oracle, and it gets faster
         // whenever the solo path does.
-        n if n.starts_with("newton_per_sec_fused_") => Rule::MinRatio(0.6),
+        n if n.starts_with("newton_per_sec_pool_") => Rule::MinRatio(0.6),
         // -- direct solver (BENCH_solver.json) --------------------------
         // The envelope LU leaves the scalar reference's bits and beats it
         // by a ratio measured on one matrix in one process (min-of-N over

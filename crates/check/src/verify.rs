@@ -37,10 +37,11 @@
 //! [`PolicyFamily`]: landau_core::PolicyFamily
 
 use landau_core::registry::{KernelEntry, KernelRegistry, VerifyInput};
-use landau_vgpu::checked::{Finding, RaceKind};
 use landau_vgpu::kokkos::TeamPolicy;
 use landau_vgpu::spec::GpuSpec;
-use landau_vgpu::symbolic::{AccessKind, AffinePattern, BlockLog, SymbolicCtx, SYM_EVENT_CAP};
+use landau_vgpu::symbolic::{
+    AccessKind, AffinePattern, BlockLog, Finding, RaceKind, SymbolicCtx, SYM_EVENT_CAP,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -483,7 +484,6 @@ fn canon(f: &Finding) -> Finding {
     match &mut f {
         Finding::ScratchRace { league_rank, .. }
         | Finding::ScratchOverflow { league_rank, .. }
-        | Finding::ReduceDivergence { league_rank, .. }
         | Finding::BarrierDivergence { league_rank, .. }
         | Finding::NondeterministicReduce { league_rank, .. }
         | Finding::ScratchOutOfBounds { league_rank, .. }

@@ -4,7 +4,10 @@
 
 use landau_check::corpus::{corpus, run_corpus_kernel};
 use landau_check::verify::{verify_registry, VerifyRule};
+use landau_core::kernels::{inner_integral_kokkos_cached, inner_integral_kokkos_model, IpCoeffs};
 use landau_core::registry::{KernelRegistry, VerifyInput};
+use landau_vgpu::kokkos::PlainFactory;
+use landau_vgpu::symbolic::SymbolicCtx;
 
 #[test]
 fn production_kernels_prove_clean_over_the_policy_family() {
@@ -35,6 +38,33 @@ fn production_kernels_prove_clean_over_the_policy_family() {
     let proofs = report.proofs();
     assert!(proofs.total() > 0);
     assert!(proofs.affine > 0, "expected affine proofs, got {proofs:?}");
+}
+
+/// Logging every scratch access must not perturb the arithmetic: each
+/// registered kernel computes bitwise the coefficients of its plain run.
+#[test]
+fn symbolic_runs_match_plain_runs_bitwise() {
+    let input = VerifyInput::representative();
+    let (ip, sl) = (&input.ip, &input.species);
+    let bits = |c: &IpCoeffs| {
+        let gk = c.gk.iter().flatten();
+        let gd = c.gd.iter().flatten();
+        gk.chain(gd).map(|x| x.to_bits()).collect::<Vec<_>>()
+    };
+    for e in KernelRegistry::standard().entries() {
+        for vl in [1usize, 8, 16] {
+            let plain = match e.name {
+                "inner_integral_kokkos_staged" => inner_integral_kokkos_model(ip, sl, vl).0,
+                "inner_integral_kokkos_cached" => {
+                    inner_integral_kokkos_cached(ip, sl, vl, &input.table, &PlainFactory).0
+                }
+                other => panic!("{other}: registered kernel without a plain run here"),
+            };
+            let logged = (e.run_symbolic)(&input, vl, &SymbolicCtx::new());
+            assert!(!plain.gk.is_empty(), "{}: no coefficients", e.name);
+            assert_eq!(bits(&logged), bits(&plain), "{} at vl={vl}", e.name);
+        }
+    }
 }
 
 #[test]

@@ -684,7 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_instrumentation_does_not_perturb_states() {
+    fn pool_sweep_instrumentation_does_not_perturb_states() {
         let space = tiny_space();
         let mut plain = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 2);
         plain.advance(0.4, 1, 0.0);

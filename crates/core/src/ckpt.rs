@@ -34,7 +34,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Magic bytes opening every checkpoint frame.
 pub const CKPT_MAGIC: [u8; 4] = *b"LCKP";
@@ -786,8 +785,6 @@ impl CheckpointStore {
 pub struct CheckpointPolicy {
     /// Checkpoint once at least this many steps completed since the last one.
     pub every_steps: Option<u64>,
-    /// Checkpoint once this much wall-clock elapsed since the last one.
-    pub every_wall_secs: Option<f64>,
     /// Checkpoint on driver phase transitions (e.g. equilibration → quench).
     pub on_phase_change: bool,
 }
@@ -805,45 +802,23 @@ impl CheckpointPolicy {
         }
     }
 
-    pub fn every_wall_secs(secs: f64) -> Self {
-        Self {
-            every_wall_secs: Some(secs.max(0.0)),
-            ..Self::default()
-        }
-    }
-
     pub fn and_on_phase_change(mut self) -> Self {
         self.on_phase_change = true;
         self
     }
 }
 
-/// Runtime cursor for a [`CheckpointPolicy`]; lives beside the driver, is
-/// never serialized (wall-clock restarts on resume by design).
-#[derive(Clone, Debug)]
+/// Runtime cursor for a [`CheckpointPolicy`]; lives beside the driver and
+/// is never serialized (a resumed run rebases it on the restored step).
+#[derive(Clone, Debug, Default)]
 pub struct PolicyCursor {
     last_step: u64,
-    last_wall: Instant,
-}
-
-impl Default for PolicyCursor {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PolicyCursor {
-    pub fn new() -> Self {
-        Self {
-            last_step: 0,
-            last_wall: Instant::now(),
-        }
-    }
-
     /// Start counting steps from `step` (used right after resume).
     pub fn rebase(&mut self, step: u64) {
         self.last_step = step;
-        self.last_wall = Instant::now();
     }
 
     /// Decide whether a checkpoint is due after completing `step` total
@@ -855,14 +830,8 @@ impl PolicyCursor {
                 due = true;
             }
         }
-        if let Some(s) = policy.every_wall_secs {
-            if self.last_wall.elapsed().as_secs_f64() >= s {
-                due = true;
-            }
-        }
         if due {
             self.last_step = step;
-            self.last_wall = Instant::now();
         }
         due
     }
@@ -892,7 +861,7 @@ impl CkptHook {
         *self = CkptHook {
             store: Some(CheckpointStore::new(storage, keep).with_registry(registry)),
             policy,
-            cursor: PolicyCursor::new(),
+            cursor: PolicyCursor::default(),
         };
     }
 
@@ -1128,7 +1097,7 @@ mod tests {
 
     #[test]
     fn policy_triggers_compose() {
-        let mut cur = PolicyCursor::new();
+        let mut cur = PolicyCursor::default();
         let p = CheckpointPolicy::every_steps(3).and_on_phase_change();
         assert!(!cur.due(&p, 1, false));
         assert!(cur.due(&p, 2, true)); // phase change fires early

@@ -35,7 +35,6 @@ use crate::tensor_cache::{CachedStream, TensorTable};
 use landau_fem::FemSpace;
 use landau_par::prelude::*;
 use landau_sparse::csr::Csr;
-use landau_sparse::{OwnerMap, ScatterConflict};
 use landau_vgpu::kokkos::{PlainFactory, Team, TeamFactory, TeamPolicy};
 use landau_vgpu::symbolic::SymbolicCtx;
 use landau_vgpu::{cuda_strided_reduce, Tally};
@@ -236,13 +235,12 @@ pub fn cached_scratch_budget(_dims: &KernelDims, _policy: &TeamPolicy) -> usize 
     0
 }
 
-fn run_staged_symbolic(input: &VerifyInput, vector_length: usize, ctx: &SymbolicCtx) {
-    let _ = inner_integral_kokkos_with(&input.ip, &input.species, vector_length, ctx);
+fn run_staged_symbolic(input: &VerifyInput, vector_length: usize, ctx: &SymbolicCtx) -> IpCoeffs {
+    inner_integral_kokkos_with(&input.ip, &input.species, vector_length, ctx).0
 }
 
-fn run_cached_symbolic(input: &VerifyInput, vector_length: usize, ctx: &SymbolicCtx) {
-    let _ =
-        inner_integral_kokkos_cached(&input.ip, &input.species, vector_length, &input.table, ctx);
+fn run_cached_symbolic(input: &VerifyInput, vector_length: usize, ctx: &SymbolicCtx) -> IpCoeffs {
+    inner_integral_kokkos_cached(&input.ip, &input.species, vector_length, &input.table, ctx).0
 }
 
 /// Self-register this module's Team-based kernels with the static
@@ -276,7 +274,7 @@ pub fn inner_integral_kokkos_model(
 
 /// The Kokkos-model inner integral, generic over the [`TeamFactory`] so
 /// the identical kernel body runs under plain members *or* under the
-/// race/determinism-checking members of `landau_vgpu::checked`.
+/// static verifier's logging members of `landau_vgpu::symbolic`.
 ///
 /// The element-local data (coordinates, weights, and the packed per-species
 /// field terms at the element's own integration points) is cooperatively
@@ -460,9 +458,9 @@ pub fn inner_integral_cuda_model_cached(
 /// Cached inner integral in the Kokkos model: league member per element,
 /// team over its integration points, and the tile sweep as a generic-object
 /// `parallel_reduce` over a `ThreadVectorRange(0, N_e)`. Generic over the
-/// [`TeamFactory`] so the checked members can run it too. Unlike the
-/// uncached kernel no coordinate staging is needed — the table already
-/// encodes the test-point geometry.
+/// [`TeamFactory`] so the static verifier's logging members can run it
+/// too. Unlike the uncached kernel no coordinate staging is needed — the
+/// table already encodes the test-point geometry.
 pub fn inner_integral_kokkos_cached<F: TeamFactory>(
     ip: &IpData,
     species: &SpeciesList,
@@ -614,7 +612,8 @@ pub fn assemble_setvalues(space: &FemSpace, ns: usize, ce: &[f64], mats: &mut [C
 /// one after another, elements within a color concurrently, with *no*
 /// atomics — each color's elements touch disjoint dofs. We emulate the
 /// concurrency structure; on the host the scatter within a color is a
-/// plain loop (the safety property is what the test checks).
+/// plain loop. The safety property — same-colour elements share no
+/// expanded dof — is pinned by `landau_fem::coloring`'s tests.
 pub fn assemble_colored(
     space: &FemSpace,
     ns: usize,
@@ -636,77 +635,6 @@ pub fn assemble_colored(
             }
         }
     });
-}
-
-/// Graph-coloring assembly with the coloring contract *validated*: every
-/// value slot an element scatters into is claimed in an [`OwnerMap`], so
-/// two elements of one color batch touching the same slot surface as a
-/// [`ScatterConflict`] instead of a silently corrupted Jacobian.
-///
-/// On success the matrices hold exactly what [`assemble_colored`] produces
-/// (up to atomic-add association order) and the returned tally counts the
-/// scatter's atomic adds; on conflict the matrices are left partially
-/// assembled and must be re-assembled after fixing the coloring.
-pub fn assemble_colored_checked(
-    space: &FemSpace,
-    ns: usize,
-    ce: &[f64],
-    mats: &mut [Csr],
-    batches: &[Vec<usize>],
-) -> Result<Tally, ScatterConflict> {
-    let _sp = landau_obs::span(landau_obs::names::SCATTER);
-    let nb = space.tab.nb;
-    let block = ns * nb * nb;
-    assert_eq!(mats.len(), ns);
-    let mut tally = Tally::new();
-    for (a, m) in mats.iter_mut().enumerate() {
-        m.zero_entries();
-        let (row_ptr, col_idx, vals) = m.atomic_view();
-        let mut owners = OwnerMap::new(vals.len());
-        for color in batches {
-            // Different colors may touch the same slots; the contract is
-            // only *within* a batch.
-            owners.reset();
-            let n_atomics = color
-                .par_iter()
-                .map(|&e| -> Result<u64, ScatterConflict> {
-                    let el = &space.elements[e];
-                    let cea = &ce[e * block + a * nb * nb..e * block + (a + 1) * nb * nb];
-                    let mut count = 0u64;
-                    for (bi, ni) in el.nodes.iter().enumerate() {
-                        for (bj, nj) in el.nodes.iter().enumerate() {
-                            let v = cea[bi * nb + bj];
-                            if v == 0.0 {
-                                continue;
-                            }
-                            for &(di, wi) in &ni.terms {
-                                for &(dj, wj) in &nj.terms {
-                                    let lo = row_ptr[di];
-                                    let hi = row_ptr[di + 1];
-                                    let k = lo
-                                        + col_idx[lo..hi]
-                                            .binary_search(&dj)
-                                            .expect("entry in pattern");
-                                    owners.claim(k, e)?;
-                                    vals[k].fetch_add(wi * wj * v);
-                                    count += 1;
-                                }
-                            }
-                        }
-                    }
-                    Ok(count)
-                })
-                .reduce(
-                    || Ok(0u64),
-                    |x, y| match (x, y) {
-                        (Ok(a), Ok(b)) => Ok(a + b),
-                        (Err(e), _) | (_, Err(e)) => Err(e),
-                    },
-                )?;
-            tally.atomics += n_atomics;
-        }
-    }
-    Ok(tally)
 }
 
 /// Device assembly path (atomics, the released PETSc GPU approach):
@@ -747,6 +675,7 @@ mod tests {
     use super::*;
     use crate::species::SpeciesList;
     use landau_fem::assemble::csr_pattern;
+    use landau_fem::coloring::{color_batches, color_elements};
     use landau_mesh::presets::uniform_mesh;
 
     fn setup() -> (FemSpace, SpeciesList, IpData) {
@@ -824,12 +753,17 @@ mod tests {
         let pat = csr_pattern(&space);
         let mut a1 = vec![pat.clone(), pat.clone()];
         let mut a2 = vec![pat.clone(), pat.clone()];
+        let mut a3 = vec![pat.clone(), pat.clone()];
         assemble_setvalues(&space, 2, &ce, &mut a1);
         let t = assemble_atomic(&space, 2, &ce, &mut a2);
         assert!(t.atomics > 0);
+        let (colors, ncolors) = color_elements(&space);
+        assert!(ncolors > 1);
+        assemble_colored(&space, 2, &ce, &mut a3, &color_batches(&colors, ncolors));
         for s in 0..2 {
-            for (v1, v2) in a1[s].vals.iter().zip(&a2[s].vals) {
+            for ((v1, v2), v3) in a1[s].vals.iter().zip(&a2[s].vals).zip(&a3[s].vals) {
                 assert!((v1 - v2).abs() < 1e-12 * (1.0 + v1.abs()));
+                assert!((v1 - v3).abs() < 1e-12 * (1.0 + v1.abs()));
             }
         }
     }

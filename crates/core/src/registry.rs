@@ -22,6 +22,7 @@
 //! [`GpuSpec`]: landau_vgpu::GpuSpec
 
 use crate::ipdata::IpData;
+use crate::kernels::IpCoeffs;
 use crate::species::{Species, SpeciesList};
 use crate::tensor_cache::TensorTable;
 use landau_fem::FemSpace;
@@ -74,8 +75,9 @@ pub struct KernelEntry {
     /// Declared scratch slots per block — the registry's budget closure.
     pub budget: fn(&KernelDims, &TeamPolicy) -> usize,
     /// Execute the kernel once on `input` at the given vector length,
-    /// with every team member drawn from the symbolic factory.
-    pub run_symbolic: fn(&VerifyInput, usize, &SymbolicCtx),
+    /// with every team member drawn from the symbolic factory, and return
+    /// the coefficients it computed.
+    pub run_symbolic: fn(&VerifyInput, usize, &SymbolicCtx) -> IpCoeffs,
 }
 
 /// The registry: a flat list of entries, populated by each backend
@@ -192,7 +194,9 @@ mod tests {
         fn zero(_: &KernelDims, _: &TeamPolicy) -> usize {
             0
         }
-        fn noop(_: &VerifyInput, _: usize, _: &SymbolicCtx) {}
+        fn noop(_: &VerifyInput, _: usize, _: &SymbolicCtx) -> IpCoeffs {
+            IpCoeffs::zeros(0)
+        }
         let entry = || KernelEntry {
             name: "dup",
             family: PolicyFamily::standard(),

@@ -36,18 +36,18 @@ fn plasma() -> SpeciesList {
 }
 
 #[test]
-fn fused_matches_host_loop_bitwise() {
+fn pool_sweep_matches_host_loop_bitwise() {
     let space = tiny_space();
     let mut host = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
-    let mut fused = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
+    let mut pool = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);
     let sh = host_loop_advance(&mut host, 0.4, 2, 0.0);
-    let sf = fused.advance(0.4, 2, 0.0);
+    let sf = pool.advance(0.4, 2, 0.0);
     assert_eq!(sh.failed, 0, "{sh:?}");
     assert_eq!(sf.failed, 0, "{sf:?}");
     // The pool sweep runs each vertex's own stepper, with nested sweeps
     // inline over the same parts: every vertex's state must match the
     // reference loop bit for bit.
-    for (v, (a, b)) in host.states.iter().zip(&fused.states).enumerate() {
+    for (v, (a, b)) in host.states.iter().zip(&pool.states).enumerate() {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(
                 x.to_bits(),

@@ -121,18 +121,6 @@ impl Csr {
         AtomicF64::cast_slice_mut(&mut self.vals)
     }
 
-    /// Split borrow for concurrent assembly: the (read-only) pattern plus an
-    /// atomic view of the values, usable simultaneously across threads.
-    pub fn atomic_view(&mut self) -> (&[usize], &[usize], &[AtomicF64]) {
-        let Csr {
-            row_ptr,
-            col_idx,
-            vals,
-            ..
-        } = self;
-        (row_ptr, col_idx, AtomicF64::cast_slice_mut(vals))
-    }
-
     /// `y = A x`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n_cols);

@@ -21,13 +21,10 @@
 //!   [`band`] solver); the repository benchmark times it.
 //! * [`vecops`] — the handful of BLAS-1 operations the time integrator uses.
 //! * [`atomic`] — an `AtomicF64` add used by the device-style assembly.
-//! * [`checked`] — an ownership map that validates the element-coloring
-//!   contract during scatter.
 
 pub mod atomic;
 pub mod band;
 pub mod batched;
-pub mod checked;
 pub mod coo;
 pub mod csr;
 pub mod rcm;
@@ -35,7 +32,6 @@ pub mod vecops;
 
 pub use band::BandMatrix;
 pub use batched::BatchedBandStorage;
-pub use checked::{OwnerMap, ScatterConflict};
 pub use coo::CooMatrix;
 pub use csr::{Csr, InsertMode};
 pub use rcm::{bandwidth, rcm_order};

@@ -183,15 +183,6 @@ impl KernelRegistry {
         g.entry(name.to_string()).or_default().clone()
     }
 
-    /// Snapshot every kernel's stats.
-    pub fn all_stats(&self) -> Vec<(String, KernelStats)> {
-        let g = self.inner.lock().unwrap();
-        let mut v: Vec<(String, KernelStats)> =
-            g.iter().map(|(k, c)| (k.clone(), c.stats())).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
     /// Reset every kernel's counters.
     pub fn reset_all(&self) {
         let g = self.inner.lock().unwrap();
@@ -256,7 +247,6 @@ mod tests {
             1,
         );
         assert_eq!(b.stats().flops, 7);
-        assert_eq!(r.all_stats().len(), 1);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! Kernels are written against the [`Team`] trait and instantiated through
 //! a [`TeamFactory`], so the same kernel body runs under the plain
-//! [`TeamMember`] or under the race/determinism-checking member in
-//! [`crate::checked`] without modification.
+//! [`TeamMember`] or under the static verifier's logging member in
+//! [`crate::symbolic`] without modification.
 
 use crate::counters::Tally;
 use crate::spec::GpuSpec;
@@ -27,8 +27,8 @@ pub trait Reducer: Clone {
     fn join(&mut self, other: &Self);
 }
 
-/// A [`Reducer`] whose results can be *compared*, so the checked execution
-/// mode can verify that the pairwise tree join is insensitive to lane
+/// A [`Reducer`] whose results can be *compared*, so the static verifier
+/// can prove that the pairwise tree join is insensitive to lane
 /// ordering (bitwise or within a small relative tolerance). A reducer whose
 /// `join` is order-dependent beyond rounding (e.g. "last lane wins") is
 /// nondeterministic on real hardware, where warp scheduling picks the order.
@@ -102,37 +102,26 @@ impl TeamPolicy {
 /// A team scratch allocation (≈ Kokkos `ScratchView` / CUDA `__shared__`).
 ///
 /// Access goes through [`ScratchBuf::write`] / [`ScratchBuf::read`], which
-/// take the accessing *lane* so the checked execution mode can shadow every
-/// access with writer/reader lane masks and flag cross-lane conflicts that
-/// are not separated by a [`Team::barrier`]. In plain mode the lane argument
-/// is ignored and the accessors compile down to slice indexing.
+/// take the accessing *lane* so the symbolic member can log every access
+/// as an `(epoch, kind, lane, index)` event for the static verifier's
+/// cross-lane race proofs. In plain mode the lane argument is ignored and
+/// the accessors compile down to slice indexing.
 ///
 /// Reads take `&self`: after a barrier has ordered the staging stores, a
 /// buffer is a read-only tile that several consumers may share without
-/// artificial exclusivity (the shadow state behind a tracked read lives in
-/// a `RefCell`, so tracking needs no `&mut`). Writes keep `&mut self` —
-/// stores genuinely mutate the tile.
+/// artificial exclusivity (the access log behind a logged read sits behind
+/// a mutex, so logging needs no `&mut`). Writes keep `&mut self` — stores
+/// genuinely mutate the tile.
 pub struct ScratchBuf {
     data: Vec<f64>,
-    track: Option<core::cell::RefCell<crate::checked::ScratchTrack>>,
     sym: Option<crate::symbolic::SymTrack>,
 }
 
 impl ScratchBuf {
-    /// Untracked scratch (plain execution).
+    /// Unlogged scratch (plain execution).
     pub(crate) fn plain(len: usize) -> Self {
         ScratchBuf {
             data: vec![0.0; len],
-            track: None,
-            sym: None,
-        }
-    }
-
-    /// Tracked scratch: every access updates the shadow state.
-    pub(crate) fn tracked(len: usize, track: crate::checked::ScratchTrack) -> Self {
-        ScratchBuf {
-            data: vec![0.0; len],
-            track: Some(core::cell::RefCell::new(track)),
             sym: None,
         }
     }
@@ -142,7 +131,6 @@ impl ScratchBuf {
     pub(crate) fn symbolic(len: usize, sym: crate::symbolic::SymTrack) -> Self {
         ScratchBuf {
             data: vec![0.0; len],
-            track: None,
             sym: Some(sym),
         }
     }
@@ -159,9 +147,6 @@ impl ScratchBuf {
 
     /// Store `v` at `idx` from vector lane `lane`.
     pub fn write(&mut self, lane: usize, idx: usize, v: f64) {
-        if let Some(t) = &self.track {
-            t.borrow_mut().on_write(lane, idx);
-        }
         if let Some(s) = &self.sym {
             // Out-of-bounds indices are reported to the verifier instead of
             // aborting the symbolic run.
@@ -174,9 +159,6 @@ impl ScratchBuf {
 
     /// Load the value at `idx` from vector lane `lane`.
     pub fn read(&self, lane: usize, idx: usize) -> f64 {
-        if let Some(t) = &self.track {
-            t.borrow_mut().on_read(lane, idx);
-        }
         if let Some(s) = &self.sym {
             if !s.on_read(lane, idx) {
                 return 0.0;
@@ -185,7 +167,7 @@ impl ScratchBuf {
         self.data[idx]
     }
 
-    /// Raw host-side view (bypasses lane tracking; for post-kernel reads).
+    /// Raw host-side view (bypasses the access log; for post-kernel reads).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
@@ -194,8 +176,8 @@ impl ScratchBuf {
 /// The portable team-member interface kernels are written against.
 ///
 /// Implemented by the plain [`TeamMember`] and by
-/// [`crate::checked::CheckedTeamMember`]; kernels obtain a member through a
-/// [`TeamFactory`], so the *same* kernel body runs in either mode.
+/// [`crate::symbolic::SymbolicTeamMember`]; kernels obtain a member through
+/// a [`TeamFactory`], so the *same* kernel body runs in either mode.
 pub trait Team {
     /// This member's league rank (block id).
     fn league_rank(&self) -> usize;
@@ -207,8 +189,8 @@ pub trait Team {
     fn tally(&mut self) -> &mut Tally;
 
     /// Allocate team scratch (≈ `ScratchView`): run-time length, charged to
-    /// the shared-memory counter and checked against the active
-    /// [`GpuSpec`]'s per-block capacity.
+    /// the shared-memory counter. The static verifier proves the block's
+    /// total fits every named [`GpuSpec`]'s per-block capacity.
     fn scratch(&mut self, len: usize) -> ScratchBuf;
 
     /// Team-wide barrier (`__syncthreads()` / `team_barrier()`): orders all
@@ -217,9 +199,9 @@ pub trait Team {
 
     /// A barrier guarded by a per-lane predicate. On hardware a
     /// `__syncthreads()` under a lane-divergent predicate is undefined
-    /// behavior; the checking execution modes override this to record the
-    /// divergence. The default takes the barrier only when every lane
-    /// agrees, and skips a uniformly-false one.
+    /// behavior; the symbolic member overrides this to record the
+    /// divergence for the static verifier. The default takes the barrier
+    /// only when every lane agrees, and skips a uniformly-false one.
     fn barrier_if(&mut self, pred: impl Fn(usize) -> bool) {
         let lanes_n = self.policy().vector_length.max(1);
         if (0..lanes_n).all(pred) {
@@ -243,9 +225,10 @@ pub trait Team {
 }
 
 /// Hands out [`Team`] members for each league rank — the seam where the
-/// checked execution mode plugs in (a `CheckCtx` is a factory of checked
-/// members; [`PlainFactory`] hands out plain ones). `Sync` because the
-/// league dimension is driven in parallel across host threads.
+/// static verifier plugs in (a [`crate::symbolic::SymbolicCtx`] is a
+/// factory of logging members; [`PlainFactory`] hands out plain ones).
+/// `Sync` because the league dimension is driven in parallel across host
+/// threads.
 pub trait TeamFactory: Sync {
     /// The member type, borrowing the caller's per-block tally.
     type Member<'t>: Team
@@ -261,7 +244,7 @@ pub trait TeamFactory: Sync {
     ) -> Self::Member<'t>;
 }
 
-/// Factory of plain (untracked) [`TeamMember`]s.
+/// Factory of plain (unlogged) [`TeamMember`]s.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlainFactory;
 
@@ -287,7 +270,6 @@ pub struct TeamMember<'t> {
     /// This member's league rank (block id).
     pub league_rank: usize,
     policy: TeamPolicy,
-    spec: GpuSpec,
     scratch_used: u64,
     tally: &'t mut Tally,
 }
@@ -299,29 +281,9 @@ impl<'t> TeamMember<'t> {
         TeamMember {
             league_rank,
             policy,
-            spec: GpuSpec::default(),
             scratch_used: 0,
             tally,
         }
-    }
-
-    /// Run under a different device spec (changes the scratch capacity the
-    /// member enforces).
-    pub fn with_spec(mut self, spec: GpuSpec) -> Self {
-        debug_assert!(
-            self.policy.threads_per_block() <= spec.max_threads_per_block,
-            "launch config exceeds {} threads/block: team_size {} × vector_length {}",
-            spec.max_threads_per_block,
-            self.policy.team_size,
-            self.policy.vector_length,
-        );
-        self.spec = spec;
-        self
-    }
-
-    /// The spec whose limits this member enforces.
-    pub fn spec(&self) -> GpuSpec {
-        self.spec
     }
 
     /// The policy this member runs under.
@@ -335,16 +297,17 @@ impl<'t> TeamMember<'t> {
     }
 
     /// Allocate team scratch (≈ `ScratchView`): run-time length, charged to
-    /// the shared-memory counter. Over-allocating the spec's per-block
-    /// capacity is a debug assertion here and a hard error in checked mode.
+    /// the shared-memory counter. Over-allocating the default spec's
+    /// per-block capacity is a debug assertion here and a `V-CAPACITY`
+    /// violation for the static verifier.
     pub fn scratch(&mut self, len: usize) -> ScratchBuf {
         let bytes = (len * 8) as u64;
         self.scratch_used += bytes;
+        let capacity = GpuSpec::default().shared_mem_per_block;
         debug_assert!(
-            self.scratch_used <= self.spec.shared_mem_per_block,
-            "scratch over-allocation: {} B in use, {} B per block available",
+            self.scratch_used <= capacity,
+            "scratch over-allocation: {} B in use, {capacity} B per block available",
             self.scratch_used,
-            self.spec.shared_mem_per_block,
         );
         self.tally.shared_bytes += bytes;
         ScratchBuf::plain(len)
@@ -439,7 +402,7 @@ pub(crate) fn tree_join<T: Reducer>(mut lanes: Vec<T>, tally: &mut Tally) -> T {
 }
 
 /// Serial fold of the lane partials in an arbitrary visit order — the
-/// reference the checked mode compares the tree join against.
+/// references the symbolic member compares the tree join against.
 pub(crate) fn join_in_order<T: Reducer>(lanes: &[T], order: impl Iterator<Item = usize>) -> T {
     let mut acc = T::identity();
     for i in order {
@@ -535,12 +498,9 @@ mod tests {
             team_size: 1,
             vector_length: 1,
         };
-        let mut m = member_with(p, &mut t).with_spec(GpuSpec {
-            shared_mem_per_block: 1024,
-            max_threads_per_block: 1024,
-            warp_size: 32,
-        });
-        let _ = m.scratch(200); // 1600 B > 1024 B
+        let mut m = member_with(p, &mut t);
+        let _ = m.scratch(6 * 1024); // 48 KiB, fits the V100 default
+        let _ = m.scratch(1); // 8 B past it
     }
 
     #[test]

@@ -21,20 +21,24 @@
 //! * [`spec`] — device descriptions (V100, MI100, A64FX, POWER9, EPYC) with
 //!   published peak FP64 rates, memory bandwidths and feature flags (e.g.
 //!   the MI100's missing hardware f64 atomics, §V-D1), plus the
-//!   execution-model limits ([`GpuSpec`]) the checked mode enforces;
-//! * [`checked`] — a shadow-state race/determinism checker: a drop-in
-//!   [`kokkos::Team`] member that flags un-barriered cross-lane scratch
-//!   conflicts, scratch over-allocation, barrier/reduction divergence and
-//!   order-dependent reducers (always compiled: `landau-core`'s kernel
-//!   registry needs [`symbolic`], and a plain member pays only a `None`
-//!   check per scratch access).
+//!   execution-model limits ([`GpuSpec`]) the static verifier proves
+//!   every kernel against;
+//! * [`kokkos`] — the portable league / team / vector layer: the [`Team`]
+//!   trait kernels are written against, run-time-sized [`ScratchBuf`]
+//!   scratch, generic [`Reducer`] objects, and the [`TeamFactory`] seam
+//!   that hands out plain or logging members;
+//! * [`symbolic`] — the logging member for the static verifier in
+//!   `landau-check`: it runs a kernel once with every lane live and
+//!   records each scratch access, barrier predicate and reduction join,
+//!   and defines the [`Finding`]s the verifier reports (always compiled:
+//!   `landau-core`'s kernel registry needs it, and a plain member pays
+//!   only a `None` check per scratch access).
 //!
 //! Blocks are scheduled onto host threads by the caller (`landau-par`); the
 //! engine reproduces the *semantics* and *operation counts* of the CUDA
 //! model, while wall-clock performance on other hardware is modeled in
 //! `landau-hwsim` (see DESIGN.md §2 for the substitution argument).
 
-pub mod checked;
 pub mod counters;
 pub mod fault;
 pub mod kokkos;
@@ -42,10 +46,11 @@ pub mod reduce;
 pub mod spec;
 pub mod symbolic;
 
-pub use checked::{CheckCtx, CheckedTeamMember, Finding, RaceKind};
 pub use counters::{Counters, KernelStats, Tally};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault};
 pub use kokkos::{PlainFactory, Reducer, ReducerCheck, ScratchBuf, Team, TeamFactory};
 pub use reduce::{cuda_strided_reduce, WarpAdd};
 pub use spec::{Device, DeviceSpec, GpuSpec};
-pub use symbolic::{AffinePattern, BlockLog, BufLog, SymbolicCtx, SymbolicTeamMember};
+pub use symbolic::{
+    AffinePattern, BlockLog, BufLog, Finding, RaceKind, SymbolicCtx, SymbolicTeamMember,
+};

@@ -26,13 +26,11 @@ pub struct DeviceSpec {
     pub has_hw_f64_atomics: bool,
     /// Kernel launch overhead in microseconds (host → device dispatch).
     pub launch_overhead_us: f64,
-    /// True for CPU-like devices (A64FX, POWER9, EPYC) where "SMs" are cores.
-    pub is_cpu: bool,
 }
 
 /// Execution-model limits of a GPU block — the constraints a kernel's launch
 /// configuration must respect. Separated from [`DeviceSpec`] (throughput
-/// numbers) because the *execution* checks in [`crate::checked`] and
+/// numbers) because the static verifier's capacity and launch proofs and
 /// [`crate::kokkos::TeamMember::scratch`] depend only on these.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GpuSpec {
@@ -40,8 +38,6 @@ pub struct GpuSpec {
     pub shared_mem_per_block: u64,
     /// Maximum threads per block (`blockDim.x · blockDim.y`).
     pub max_threads_per_block: usize,
-    /// Lanes per warp (the shuffle-reduction width).
-    pub warp_size: usize,
 }
 
 impl GpuSpec {
@@ -52,7 +48,6 @@ impl GpuSpec {
         GpuSpec {
             shared_mem_per_block: 48 * 1024,
             max_threads_per_block: 1024,
-            warp_size: 32,
         }
     }
 
@@ -62,7 +57,6 @@ impl GpuSpec {
         GpuSpec {
             shared_mem_per_block: 64 * 1024,
             max_threads_per_block: 1024,
-            warp_size: 64,
         }
     }
 
@@ -72,7 +66,6 @@ impl GpuSpec {
         GpuSpec {
             shared_mem_per_block: u64::MAX,
             max_threads_per_block: usize::MAX,
-            warp_size: 1,
         }
     }
 
@@ -101,17 +94,6 @@ impl DeviceSpec {
         self.peak_fp64_gflops / self.dram_gbps
     }
 
-    /// Execution-model limits for this device.
-    pub fn gpu_spec(&self) -> GpuSpec {
-        if self.is_cpu {
-            GpuSpec::cpu()
-        } else if self.name.contains("MI100") {
-            GpuSpec::mi100()
-        } else {
-            GpuSpec::v100()
-        }
-    }
-
     /// NVIDIA V100 (Summit): 80 SMs, 7.8 TF FP64, 890 GB/s.
     pub fn v100() -> Self {
         DeviceSpec {
@@ -121,7 +103,6 @@ impl DeviceSpec {
             dram_gbps: 890.0,
             has_hw_f64_atomics: true,
             launch_overhead_us: 8.0,
-            is_cpu: false,
         }
     }
 
@@ -134,7 +115,6 @@ impl DeviceSpec {
             dram_gbps: 1230.0,
             has_hw_f64_atomics: false,
             launch_overhead_us: 12.0,
-            is_cpu: false,
         }
     }
 
@@ -147,7 +127,6 @@ impl DeviceSpec {
             dram_gbps: 1024.0,
             has_hw_f64_atomics: true,
             launch_overhead_us: 0.5,
-            is_cpu: true,
         }
     }
 
@@ -160,7 +139,6 @@ impl DeviceSpec {
             dram_gbps: 170.0,
             has_hw_f64_atomics: true,
             launch_overhead_us: 0.0,
-            is_cpu: true,
         }
     }
 
@@ -173,7 +151,6 @@ impl DeviceSpec {
             dram_gbps: 205.0,
             has_hw_f64_atomics: true,
             launch_overhead_us: 0.0,
-            is_cpu: true,
         }
     }
 }
@@ -276,19 +253,9 @@ impl Device {
         add("cache_flops_saved", tally.cache_flops_saved);
     }
 
-    /// Counter handle for a kernel (for repeated recording).
-    pub fn kernel_counters(&self, kernel: &str) -> Arc<crate::counters::Counters> {
-        self.kernels.kernel(kernel)
-    }
-
     /// Snapshot of a kernel's stats.
     pub fn kernel_stats(&self, kernel: &str) -> KernelStats {
         self.kernels.kernel(kernel).stats()
-    }
-
-    /// All kernels' stats, sorted by name.
-    pub fn all_kernel_stats(&self) -> Vec<(String, KernelStats)> {
-        self.kernels.all_stats()
     }
 
     /// Reset all counters.

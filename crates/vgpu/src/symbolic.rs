@@ -7,8 +7,7 @@
 //! is deterministic and drives all lanes, the logged per-lane index sets
 //! *are* each lane's complete footprint for that policy — so the analyzer
 //! in `landau-check` can quantify over **every lane pair and every
-//! interleaving** rather than the concrete schedule a runtime [`CheckCtx`]
-//! run happens to see:
+//! interleaving** rather than one concrete schedule:
 //!
 //! * per-lane index sets are fitted to the affine family
 //!   `{ a·lane + b + stride·k : 0 ≤ k < count }` ([`AffinePattern`]);
@@ -23,19 +22,201 @@
 //! The member also probes barrier uniformity (every [`Team::barrier_if`]
 //! records its arriving-lane count) and reduction-order determinism (each
 //! `vector_reduce` is re-joined in forward, reverse and rotated lane order
-//! and compared against the tree join).
-//!
-//! [`CheckCtx`]: crate::checked::CheckCtx
+//! and compared against the tree join). The analyzer reports what it
+//! cannot discharge as [`Finding`]s.
 
-use crate::checked::DETERMINISM_RTOL;
 use crate::counters::Tally;
 use crate::kokkos::{
     join_in_order, lane_partials, tree_join, ReducerCheck, ScratchBuf, Team, TeamFactory,
     TeamPolicy,
 };
 use std::collections::BTreeSet;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Relative tolerance for the reduction-determinism comparison: permuting
+/// the join order of a well-behaved floating-point reduction moves the
+/// result by rounding only (≤ ~1e-13 relative for ≤64 lanes); 1e-9 leaves
+/// four orders of magnitude of headroom while catching genuinely
+/// order-dependent joins.
+pub const DETERMINISM_RTOL: f64 = 1e-9;
+
+/// The kind of cross-lane scratch conflict.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RaceKind {
+    /// Two lanes wrote one cell in the same epoch.
+    WriteWrite,
+    /// One lane read a cell another lane wrote in the same epoch.
+    ReadWrite,
+}
+
+impl fmt::Display for RaceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RaceKind::WriteWrite => write!(f, "write-write"),
+            RaceKind::ReadWrite => write!(f, "read-write"),
+        }
+    }
+}
+
+/// One defect (or undischarged obligation) the static verifier reports.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Finding {
+    /// Cross-lane scratch conflict without an intervening barrier.
+    ScratchRace {
+        /// Block in which the conflict occurred.
+        league_rank: usize,
+        /// Scratch cell index.
+        idx: usize,
+        /// A lane that accessed the cell earlier in the epoch.
+        first_lane: usize,
+        /// The lane whose access conflicted.
+        second_lane: usize,
+        /// Conflict kind.
+        kind: RaceKind,
+    },
+    /// Cumulative scratch allocation exceeded the spec's per-block capacity.
+    ScratchOverflow {
+        /// Block that over-allocated.
+        league_rank: usize,
+        /// Bytes in use after the offending allocation.
+        in_use: u64,
+        /// Per-block capacity of the active spec.
+        capacity: u64,
+    },
+    /// `team_size × vector_length` exceeds the spec's thread limit.
+    LaunchOverflow {
+        /// Threads the policy asks for.
+        threads: usize,
+        /// The spec's per-block maximum.
+        max: usize,
+    },
+    /// A conditional barrier was not reached by every lane.
+    BarrierDivergence {
+        /// Block in which the divergence occurred.
+        league_rank: usize,
+        /// Lanes that arrived at the barrier.
+        arriving: usize,
+        /// Lanes in the vector dimension.
+        lanes: usize,
+    },
+    /// Permuting the lane-join order moved the reduction result beyond
+    /// rounding tolerance.
+    NondeterministicReduce {
+        /// Block in which the reduction ran.
+        league_rank: usize,
+        /// Observed |tree − permuted| distance.
+        dist: f64,
+        /// The tolerance it exceeded.
+        tol: f64,
+    },
+    /// A scratch access indexed past the end of its buffer (the static
+    /// verifier reports this instead of letting the symbolic run abort).
+    ScratchOutOfBounds {
+        /// Block in which the access occurred.
+        league_rank: usize,
+        /// The accessing lane.
+        lane: usize,
+        /// The out-of-range index.
+        idx: usize,
+        /// The buffer's length in f64 slots.
+        len: usize,
+    },
+    /// A kernel's observed scratch allocation disagreed with the budget
+    /// its registry entry declares (hand-written lengths drift from the
+    /// budget closure and defeat the capacity proof).
+    BudgetMismatch {
+        /// Block whose allocation was measured.
+        league_rank: usize,
+        /// Slots the registered budget closure declares.
+        declared: usize,
+        /// Slots the kernel actually allocated.
+        observed: usize,
+    },
+    /// The static verifier could not discharge a proof obligation (index
+    /// pattern outside the affine/widened/enumerated domain, or the access
+    /// log was truncated). Not a defect per se, but the kernel is not
+    /// *proved* and must not be reported clean.
+    Unproved {
+        /// Block whose proof failed.
+        league_rank: usize,
+        /// What the verifier could not establish.
+        reason: String,
+    },
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Finding::ScratchRace {
+                league_rank,
+                idx,
+                first_lane,
+                second_lane,
+                kind,
+            } => write!(
+                f,
+                "{kind} race on scratch[{idx}] in block {league_rank}: lanes {first_lane} \
+                 and {second_lane} without an intervening barrier"
+            ),
+            Finding::ScratchOverflow {
+                league_rank,
+                in_use,
+                capacity,
+            } => write!(
+                f,
+                "scratch over-allocation in block {league_rank}: {in_use} B in use, \
+                 {capacity} B per block available"
+            ),
+            Finding::LaunchOverflow { threads, max } => write!(
+                f,
+                "launch config of {threads} threads/block exceeds the device limit of {max}"
+            ),
+            Finding::BarrierDivergence {
+                league_rank,
+                arriving,
+                lanes,
+            } => write!(
+                f,
+                "barrier divergence in block {league_rank}: {arriving} of {lanes} lanes \
+                 arrive at the barrier"
+            ),
+            Finding::NondeterministicReduce {
+                league_rank,
+                dist,
+                tol,
+            } => write!(
+                f,
+                "nondeterministic reduction in block {league_rank}: permuting the lane \
+                 join order moved the result by {dist:.3e} (tolerance {tol:.3e})"
+            ),
+            Finding::ScratchOutOfBounds {
+                league_rank,
+                lane,
+                idx,
+                len,
+            } => write!(
+                f,
+                "out-of-bounds scratch access in block {league_rank}: lane {lane} \
+                 indexes scratch[{idx}] of a {len}-slot buffer"
+            ),
+            Finding::BudgetMismatch {
+                league_rank,
+                declared,
+                observed,
+            } => write!(
+                f,
+                "scratch budget mismatch in block {league_rank}: registry declares \
+                 {declared} slots, kernel allocated {observed}"
+            ),
+            Finding::Unproved {
+                league_rank,
+                reason,
+            } => write!(f, "unproved obligation in block {league_rank}: {reason}"),
+        }
+    }
+}
 
 /// Cap on deduplicated access events logged per scratch buffer. A kernel
 /// whose footprint exceeds this marks the log truncated, and the analyzer
